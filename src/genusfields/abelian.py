@@ -35,7 +35,6 @@ def hnf(rows, ncols):
     positive and the entries above a pivot are reduced into [0, pivot).
     """
     m = [list(r) for r in rows if any(r)]
-    pivots = []
     row = 0
     for col in range(ncols):
         # gcd-eliminate column `col` below `row`
@@ -60,7 +59,6 @@ def hnf(rows, ncols):
             q = m[i][col] // piv
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
         row += 1
     return tuple(tuple(r) for r in m[:row])
 
@@ -68,51 +66,34 @@ def hnf(rows, ncols):
 def hnf_with_transform(rows, ncols):
     """HNF together with a unimodular U such that U * M = H (zero rows kept).
 
-    Returns (hrows, urows) where hrows includes the trailing zero rows and
-    urows is the transform over the original row list.
+    Returns (hrows, urows): the HNF of the augmented matrix [M | I] split
+    after column `ncols`, so hrows keeps one row per input row (the zero
+    ones last) and urows is the transform over the original row list.
+    Kept as its own function for `unimodular_inverse`, and because the
+    per-layer tracer (perfbench/tracing.py) looks it up by name.
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(ncols):
-        while True:
-            nz = [i for i in range(row, n) if m[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(m[i][col]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = m[i][col] // m[i0][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
-        nz = [i for i in range(row, n) if m[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        m[row], m[i0] = m[i0], m[row]
-        u[row], u[i0] = u[i0], u[row]
-        if m[row][col] < 0:
-            m[row] = [-a for a in m[row]]
-            u[row] = [-a for a in u[row]]
-        piv = m[row][col]
-        for i in range(row):
-            q = m[i][col] // piv
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
-        row += 1
-    return [tuple(r) for r in m], [tuple(r) for r in u]
+    n = len(rows)
+    aug = hnf([list(r) + e for r, e in zip(rows, _diagonal([1] * n))],
+              ncols + n)
+    return [r[:ncols] for r in aug], [r[ncols:] for r in aug]
 
 
 def smith_normal_form(rows, ncols):
     """Diagonal entries of the Smith normal form (nonzero ones only)."""
-    m = [list(r) for r in rows if any(r)]
-    diag = []
-    top = 0
+    return snf_with_transform(rows, ncols)[0]
+
+
+def snf_with_transform(a_rows, ncols):
+    """Smith normal form with the column transform: returns (diag, V).
+
+    diag holds the nonzero invariant factors d_1 | d_2 | ..., and U*A*V = D
+    for some unimodular U that is not built.
+    """
+    m = [list(r) for r in a_rows]
     nrows = len(m)
-    while top < nrows and top < ncols:
-        # locate a nonzero entry in the submatrix
+    v = _diagonal([1] * ncols)
+
+    def smallest_entry():
         pos = None
         best = None
         for i in range(top, nrows):
@@ -121,12 +102,15 @@ def smith_normal_form(rows, ncols):
                 if a and (best is None or a < best):
                     best = a
                     pos = (i, j)
-        if pos is None:
-            break
+        return pos
+
+    top = 0
+    pos = smallest_entry()
+    while pos is not None:
         while True:
             i0, j0 = pos
             m[top], m[i0] = m[i0], m[top]
-            for r in m:
+            for r in itertools.chain(m, v):
                 r[top], r[j0] = r[j0], r[top]
             piv = m[top][top]
             dirty = False
@@ -139,129 +123,44 @@ def smith_normal_form(rows, ncols):
             for j in range(top + 1, ncols):
                 q = m[top][j] // piv
                 if q:
-                    for i in range(nrows):
-                        m[i][j] -= q * m[i][top]
+                    for r in itertools.chain(m, v):
+                        r[j] -= q * r[top]
                 if m[top][j]:
                     dirty = True
             if not dirty:
                 # enforce divisibility of the remaining block by the pivot
-                bad = None
-                for i in range(top + 1, nrows):
-                    for j in range(top + 1, ncols):
-                        if m[i][j] % piv:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next((i for i in range(top + 1, nrows)
+                            if any(m[i][j] % piv
+                                   for j in range(top + 1, ncols))), None)
                 if bad is None:
                     break
                 m[top] = [a + b for a, b in zip(m[top], m[bad])]
-            pos = None
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    a = abs(m[i][j])
-                    if a and (best is None or a < best):
-                        best = a
-                        pos = (i, j)
-        diag.append(abs(m[top][top]))
+            pos = smallest_entry()
         top += 1
-    return diag
-
-
-def snf_with_transform(a_rows, ncols):
-    """Smith normal form with transforms: returns (U, diag, V), U*A*V = D."""
-    m = [list(r) for r in a_rows]
-    nrows = len(m)
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        m[dst] = [a - q * b for a, b in zip(m[dst], m[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for r in m:
-            r[dst] -= q * r[src]
-        for r in v:
-            r[dst] -= q * r[src]
-
-    top = 0
-    while top < nrows and top < ncols:
-        pos = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                a = abs(m[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    pos = (i, j)
-        if pos is None:
-            break
-        while True:
-            swap_rows(top, pos[0])
-            swap_cols(top, pos[1])
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                q = m[i][top] // piv
-                if q:
-                    addmul_row(i, top, q)
-                if m[i][top]:
-                    dirty = True
-            for j in range(top + 1, ncols):
-                q = m[top][j] // piv
-                if q:
-                    addmul_col(j, top, q)
-                if m[top][j]:
-                    dirty = True
-            if not dirty:
-                bad = None
-                for i in range(top + 1, nrows):
-                    if any(m[i][j] % piv for j in range(top + 1, ncols)):
-                        bad = i
-                        break
-                if bad is None:
-                    break
-                m[top] = [a + b for a, b in zip(m[top], m[bad])]
-                u[top] = [a + b for a, b in zip(u[top], u[bad])]
-            pos = None
-            best = None
-            for i in range(top, nrows):
-                for j in range(top, ncols):
-                    a = abs(m[i][j])
-                    if a and (best is None or a < best):
-                        best = a
-                        pos = (i, j)
-        if m[top][top] < 0:
-            m[top] = [-a for a in m[top]]
-            u[top] = [-a for a in u[top]]
-        top += 1
-    diag = [m[i][i] for i in range(top)]
-    return u, diag, v
+        pos = smallest_entry()
+    return [abs(m[i][i]) for i in range(top)], v
 
 
 def unimodular_inverse(v):
     """Inverse of an integer matrix with determinant +-1."""
     n = len(v)
-    aug = [list(v[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    h, u = hnf_with_transform(aug, 2 * n)
-    # the left block of h is the identity up to sign handling in hnf
-    inv = [list(r[n:]) for r in h]
-    for i, r in enumerate(h):
-        if r[i] != 1:
-            raise ValueError("matrix is not unimodular")
-    return [tuple(r) for r in inv]
+    h, u = hnf_with_transform(v, n)
+    # U * V = H, and H is the identity exactly when V is unimodular
+    if any(r[i] != 1 for i, r in enumerate(h)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def _diagonal(entries):
+    """The square integer matrix with the given diagonal, as row lists."""
+    return [[d if i == j else 0 for j in range(len(entries))]
+            for i, d in enumerate(entries)]
+
+
+def _invariant_group(rows, ncols):
+    """FiniteAbelianGroup Z^ncols / <rows>, read off the Smith normal form."""
+    return FiniteAbelianGroup(
+        tuple(d for d in smith_normal_form(rows, ncols) if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +226,6 @@ class FiniteAbelianGroup:
         for vec in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield vec
 
-    def is_cyclic_group(self):
-        return self.rank <= 1
-
     def __str__(self):
         if not self.invariant_factors:
             return "C1"
@@ -342,13 +238,7 @@ TRIVIAL_GROUP = FiniteAbelianGroup(())
 def group_from_cyclic_orders(orders):
     """Invariant-factor group isomorphic to the product of C_orders[i]."""
     orders = [o for o in orders if o > 1]
-    if not orders:
-        return TRIVIAL_GROUP
-    diag = smith_normal_form(
-        [[orders[i] if i == j else 0 for j in range(len(orders))]
-         for i in range(len(orders))],
-        len(orders))
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+    return _invariant_group(_diagonal(orders), len(orders))
 
 
 @dataclass(frozen=True)
@@ -402,12 +292,9 @@ class Subgroup:
         """Invariant factors of the subgroup itself."""
         rows = _square_lattice(self)
         k = self.ambient.rank
-        if k == 0:
-            return TRIVIAL_GROUP
         # relation matrix C with C * rows = diag(d): the subgroup is Z^k / C
-        c = _solve_upper(rows, self.ambient.invariant_factors, k)
-        diag = smith_normal_form(c, k)
-        return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+        return _invariant_group(
+            _solve_upper(rows, self.ambient.invariant_factors, k), k)
 
     def __str__(self):
         return f"subgroup of order {self.order} in {self.ambient}"
@@ -451,9 +338,12 @@ def subgroup_from_generators(ambient, gens):
             raise DimensionError(
                 f"generator of length {len(g)} in a rank-{k} group")
         rows.append(ambient.reduce(g))
-    rows.extend([ambient.invariant_factors[i] if j == i else 0
-                 for j in range(k)] for i in range(k))
-    lattice = hnf(rows, k)
+    rows.extend(_diagonal(ambient.invariant_factors))
+    return _from_lattice(ambient, hnf(rows, k))
+
+
+def _from_lattice(ambient, lattice):
+    """The Subgroup with a given canonical full-rank HNF lattice."""
     det = prod((lattice[i][i] for i in range(len(lattice))), start=1)
     return Subgroup(ambient, lattice, ambient.order // det)
 
@@ -463,12 +353,7 @@ def trivial_subgroup(ambient):
 
 
 def full_subgroup(ambient):
-    gens = []
-    for i in range(ambient.rank):
-        e = [0] * ambient.rank
-        e[i] = 1
-        gens.append(tuple(e))
-    return subgroup_from_generators(ambient, gens)
+    return subgroup_from_generators(ambient, _diagonal([1] * ambient.rank))
 
 
 def _check_same_ambient(a, b):
@@ -483,28 +368,23 @@ def product(a, b):
 
 
 def intersect(a, b):
-    """Set-theoretic intersection of two subgroups of the same ambient group."""
+    """Set-theoretic intersection of two subgroups of the same ambient group.
+
+    Zassenhaus's block method (Cohen, GTM 138, section 2.4): one HNF of
+    [[A, A], [B, 0]], whose rows span the pairs (x + y, x) with x in A and
+    y in B.  A pair has zero left half exactly when x = -y, i.e. x lies in
+    A and in B, so the zero-left rows span {0} x (A meet B).  The left half
+    has rank k, so the HNF, echelon from the left, puts those rows last,
+    k of them (A meet B contains diag(d), so it has full rank).  Among
+    themselves they are already in HNF: positive pivots, entries above each
+    pivot reduced by it.  The HNF of a lattice is unique, so their right
+    halves are the canonical lattice of A meet B, with no second reduction.
+    """
     _check_same_ambient(a, b)
-    ra, rb = list(a.lattice), list(b.lattice)
     k = a.ambient.rank
-    if k == 0:
-        return trivial_subgroup(a.ambient)
-    stacked = [list(r) for r in ra] + [[-x for x in r] for r in rb]
-    h, u = hnf_with_transform(stacked, k)
-    gens = []
-    for hrow, urow in zip(h, u):
-        if any(hrow):
-            continue
-        # urow splits as (coeffs over a | coeffs over b); u*A = v*B lies in both
-        vec = [0] * k
-        for c, r in zip(urow[:len(ra)], ra):
-            vec = [x + c * y for x, y in zip(vec, r)]
-        gens.append(a.ambient.reduce(vec))
-    return subgroup_from_generators(a.ambient, gens)
-
-
-def index(sub):
-    return sub.index
+    h = hnf([r + r for r in a.lattice] + [r + (0,) * k for r in b.lattice],
+            2 * k)
+    return _from_lattice(a.ambient, tuple(r[k:] for r in h[k:]))
 
 
 def is_cyclic(sub):
@@ -513,11 +393,7 @@ def is_cyclic(sub):
 
 def quotient_structure(sub):
     """Invariant factors of ambient/sub via the Smith normal form."""
-    k = sub.ambient.rank
-    if k == 0:
-        return TRIVIAL_GROUP
-    diag = smith_normal_form(list(sub.lattice), k)
-    return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+    return _invariant_group(list(sub.lattice), sub.ambient.rank)
 
 
 class GeneratorPresentation:
@@ -531,14 +407,7 @@ class GeneratorPresentation:
     def __init__(self, raw_orders):
         self.raw_orders = [int(o) for o in raw_orders]
         r = len(self.raw_orders)
-        if r == 0:
-            self.group = TRIVIAL_GROUP
-            self._kept = []
-            return
-        rel = [[self.raw_orders[i] if i == j else 0 for j in range(r)]
-               for i in range(r)]
-        _, diag, v = snf_with_transform(rel, r)
-        self._v = [tuple(row) for row in v]
+        diag, self._v = snf_with_transform(_diagonal(self.raw_orders), r)
         self._vinv = unimodular_inverse(self._v)
         self._diag = diag
         self._kept = [i for i, d in enumerate(diag) if d > 1]
@@ -546,8 +415,6 @@ class GeneratorPresentation:
 
     def to_canonical(self, raw_vec):
         """Exponent vector on raw generators -> canonical GroupElement."""
-        if not self.raw_orders:
-            return ()
         full = [sum(raw_vec[i] * self._v[i][j] for i in range(len(raw_vec)))
                 % self._diag[j]
                 for j in range(len(self._diag))]
@@ -556,8 +423,6 @@ class GeneratorPresentation:
     def from_canonical(self, vec):
         """Canonical GroupElement -> exponent vector on raw generators."""
         vec = self.group.reduce(vec)
-        if not self.raw_orders:
-            return ()
         full = [0] * len(self._diag)
         for slot, i in enumerate(self._kept):
             full[i] = vec[slot]
@@ -707,22 +572,8 @@ class UnitGroup:
                 raw_orders.append(order)
             self._component_slices.append((p, a, start, len(raw_gens)))
         self._raw_gens = raw_gens
-        self._raw_orders = raw_orders
-        r = len(raw_gens)
-        if r == 0:
-            self.group = TRIVIAL_GROUP
-            self._v = []
-            self._vinv = []
-            self._kept = []
-        else:
-            rel = [[raw_orders[i] if i == j else 0 for j in range(r)]
-                   for i in range(r)]
-            _, diag, v = snf_with_transform(rel, r)
-            self._v = [tuple(r_) for r_ in v]
-            self._vinv = unimodular_inverse(self._v)
-            self._diag = diag
-            self._kept = [i for i, d in enumerate(diag) if d > 1]
-            self.group = FiniteAbelianGroup(tuple(diag[i] for i in self._kept))
+        self._presentation = GeneratorPresentation(raw_orders)
+        self.group = self._presentation.group
         self._dlog_tables = None
 
     @property
@@ -743,20 +594,16 @@ class UnitGroup:
     def _tables(self):
         if self._dlog_tables is None:
             tables = []
-            n = self.modulus
             for p, a, start, stop in self._component_slices:
                 q = p ** a
                 table = {}
-                gens = [(self._raw_gens[i] % q, self._raw_orders[i])
-                        for i in range(start, stop)]
-                if not gens:
-                    table[1 % q] = ()
-                else:
-                    for exps in itertools.product(*(range(o) for _, o in gens)):
-                        v = 1
-                        for (g, _), e in zip(gens, exps):
-                            v = v * pow(g, e, q) % q
-                        table[v] = exps
+                gens = [self._raw_gens[i] % q for i in range(start, stop)]
+                orders = self._presentation.raw_orders[start:stop]
+                for exps in itertools.product(*(range(o) for o in orders)):
+                    v = 1
+                    for g, e in zip(gens, exps):
+                        v = v * pow(g, e, q) % q
+                    table[v] = exps
                 tables.append((q, start, stop, table))
             self._dlog_tables = tables
         return self._dlog_tables
@@ -769,26 +616,13 @@ class UnitGroup:
             raise ValueError(f"{u} is not a unit modulo {n}")
         raw = [0] * len(self._raw_gens)
         for q, start, stop, table in self._tables():
-            exps = table[u % q]
-            raw[start:stop] = exps
-        if not self._raw_gens:
-            return ()
-        full = [sum(raw[i] * self._v[i][j] for i in range(len(raw))) % self._diag[j]
-                for j in range(len(self._diag))]
-        return tuple(full[i] for i in self._kept)
+            raw[start:stop] = table[u % q]
+        return self._presentation.to_canonical(raw)
 
     def exp(self, vec):
         """Inverse of dlog: unit with the given exponent vector."""
-        vec = self.group.reduce(vec)
-        if not self._raw_gens:
-            return 1 % self.modulus
-        full = [0] * len(self._diag)
-        for slot, i in enumerate(self._kept):
-            full[i] = vec[slot]
-        raw = [sum(full[j] * self._vinv[j][i] for j in range(len(full)))
-               % self._raw_orders[i]
-               for i in range(len(self._raw_gens))]
-        out = 1
+        out = 1 % self.modulus
+        raw = self._presentation.from_canonical(vec)
         for g, e in zip(self._raw_gens, raw):
             out = out * pow(g, e, self.modulus) % self.modulus
         return out

@@ -236,10 +236,6 @@ class Character:
         return Character(self.ambient, self.ambient.group.neg(self.exponents))
 
 
-def trivial_character(ambient):
-    return Character(ambient, ambient.group.identity)
-
-
 def character_from_values(ambient, value_exponents, value_order):
     """Character with prescribed values on the canonical generators.
 
@@ -275,11 +271,7 @@ def is_even(chi):
 
 def conductor(chi):
     """Smallest divisor modulus through which the character factors."""
-    for m in chi.ambient.divisor_moduli():
-        if all(chi.value_exponent(u) == 0
-               for u in chi.ambient.reduction_kernel(m)):
-            return m
-    raise RuntimeError("conductor search fell through the divisor lattice")
+    return conductor_of_group(character_group(chi.ambient, [chi]))
 
 
 def restrict_to_component(chi, component):
@@ -311,17 +303,13 @@ def inflate_to_modulus(chi, target_ambient):
     """Inflate a character to a larger modulus it divides."""
     if chi.ambient.kind != target_ambient.kind:
         raise AmbientMismatchError("cannot inflate across ambient kinds")
+    rest = target_ambient.modulus % chi.ambient.modulus
+    divides = rest == 0 if chi.ambient.kind == "number" else rest.is_zero
+    if not divides:
+        raise SchemaError("target modulus is not a multiple")
     e = chi.ambient.group.exponent if chi.ambient.group.rank else 1
-    if chi.ambient.kind == "number":
-        if target_ambient.modulus % chi.ambient.modulus:
-            raise SchemaError("target modulus is not a multiple")
-        values = [chi.value_exponent(g % chi.ambient.modulus)
-                  for g in target_ambient.generators]
-    else:
-        if not (target_ambient.modulus % chi.ambient.modulus).is_zero:
-            raise SchemaError("target modulus is not a multiple")
-        values = [chi.value_exponent(g % chi.ambient.modulus)
-                  for g in target_ambient.generators]
+    values = [chi.value_exponent(g % chi.ambient.modulus)
+              for g in target_ambient.generators]
     return character_from_values(target_ambient, values, e)
 
 
@@ -529,11 +517,11 @@ def conductor_of_group(x):
     """Conductor of the field cut out by X: lcm/product over its characters.
 
     Computed as the smallest divisor modulus through which every member
-    factors.
+    factors; a member factors when the generators of X all do.
     """
-    chars = x.characters()
+    gens = x.generators()
     for m in x.ambient.divisor_moduli():
         kern = x.ambient.reduction_kernel(m)
-        if all(chi.value_exponent(u) == 0 for chi in chars for u in kern):
+        if all(chi.value_exponent(u) == 0 for chi in gens for u in kern):
             return m
     raise RuntimeError("conductor search fell through the divisor lattice")

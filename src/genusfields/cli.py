@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from functools import reduce
+from math import prod
 
 from . import (abelian, characters, fqpoly, genus_function, genus_number,
                oracle, selftest)
@@ -148,21 +149,14 @@ def _need(doc, key, types, where="document"):
 
 def _field_from_doc(doc):
     q = _need(doc, "q", int)
-    s = 1
-    p = q
-    for cand in (2, 3, 5, 7, 11, 13):
-        k = 0
-        n = q
-        while n % cand == 0:
-            n //= cand
-            k += 1
-        if n == 1 and k >= 1:
-            p, s = cand, k
-            break
-    try:
-        return fqpoly.fq_field(p, s)
-    except (SchemaError, ValueError) as exc:
-        raise SchemaError(f"invalid field size q={q}: {exc}") from exc
+    if q > fqpoly.FIELD_SIZE_BOUND:
+        raise BoundExceededError(
+            f"field size {q} exceeds {fqpoly.FIELD_SIZE_BOUND}")
+    factors = abelian.factorize(q)
+    if len(factors) != 1:
+        raise SchemaError(f"invalid field size q={q}: not a prime power")
+    (p, s), = factors
+    return fqpoly.fq_field(p, s)
 
 
 def _poly_from_doc(fld, coeffs, where):
@@ -198,8 +192,8 @@ def _numeric_ambient_from_doc(doc, bound):
     kind = doc["kind"]
     if kind == "number-quadratic":
         d = _need(doc, "discriminant", int)
+        _check_unit_count(abs(d), bound)
         chi = characters.kronecker_character(d)
-        _check_bound(chi.ambient.group.order, bound)
         return chi.ambient, characters.character_group(chi.ambient, [chi])
     n = _need(doc, "modulus", int)
     if n < 1:
@@ -207,8 +201,8 @@ def _numeric_ambient_from_doc(doc, bound):
     if n in (1, 2):
         raise SchemaError("modulus must be at least 3 (use modulus 3 with "
                           "no characters for the rational field)")
+    _check_unit_count(n, bound)
     amb = characters.numeric_ambient(n)
-    _check_bound(amb.group.order, bound)
     return amb, _character_group_from_doc(amb, doc)
 
 
@@ -218,9 +212,20 @@ def _ff_ambient_from_doc(doc, bound):
     if n.degree < 1:
         raise SchemaError("modulus must have degree at least 1")
     factored = fqpoly.factor_modulus(n)
+    _check_bound(factored.unit_order(), bound)
     amb = characters.ff_ambient(factored)
-    _check_bound(amb.group.order, bound)
     return amb, _character_group_from_doc(amb, doc)
+
+
+def _check_unit_count(n, bound):
+    """Check |(Z/nZ)*| = phi(n) against the bound before building it.
+
+    Moduli above UNIT_GROUP_BOUND are refused by `abelian.unit_group`
+    before it does any work, so they are not factored here.
+    """
+    if bound is not None and n <= abelian.UNIT_GROUP_BOUND:
+        _check_bound(prod((p - 1) * p ** (a - 1)
+                          for p, a in abelian.factorize(n)), bound)
 
 
 def _check_bound(size, bound):
@@ -308,6 +313,13 @@ def _local_number_payload(doc, bound, level_flag):
     if level_flag is not None and level_flag != level:
         raise SchemaError(
             f"--level {level_flag} does not match the document level {level}")
+    if level < 1:
+        raise SchemaError(f"level must be at least 1, got {level}")
+    if p > abelian.UNIT_GROUP_BOUND:
+        raise BoundExceededError(f"prime {p} exceeds the unit-group bound "
+                                 f"{abelian.UNIT_GROUP_BOUND}")
+    if abelian.factorize(p) != [(p, 1)]:
+        raise SchemaError(f"p = {p} is not a prime")
     modulus = p ** level
     _check_bound(modulus, bound)
     units = abelian.unit_group(modulus)
@@ -416,7 +428,6 @@ def _oracle_payload(doc, bound):
         closed_genus = genus_function.genus_characters_ff(x)
     else:
         raise SchemaError(f"the oracle subcommand does not apply to {kind!r}")
-    _check_bound(amb.group.order, bound)
     lattice = oracle.enumerate_subfields(amb)
     extended = oracle.maximal_extended_search(x)
     payload = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
-from . import abelian, characters, fqpoly
+from . import abelian, characters, fqpoly, genus_number
 from .errors import (
     AmbientMismatchError,
     BoundExceededError,
@@ -392,13 +392,7 @@ def extended_genus_characters_ff(x):
     the extension maximal unramified at the finite primes."""
     if x.ambient.kind != "function":
         raise SchemaError("expected a polynomial-modulus character group")
-    amb = x.ambient
-    gens = []
-    for component in amb.components():
-        for chi in x.generators():
-            psi = characters.restrict_to_component(chi, component)
-            gens.append(characters.inflate_from_component(psi, amb, component))
-    return characters.character_group(amb, gens)
+    return genus_number.extended_genus_characters(x)
 
 
 def constants_kernel_part(x):
@@ -532,10 +526,6 @@ class InfinityUnits:
 
     def full_subgroup(self):
         return abelian.full_subgroup(self.group)
-
-    def constants_subgroup(self):
-        return self.subgroup([(c, (0,) * (self.n_max - 1))
-                              for c in range(1, self.field.q)])
 
     def one_units_subgroup(self, n):
         """Image of U^(n): 1-units congruent to 1 modulo pi^n (n >= 1);

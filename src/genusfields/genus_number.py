@@ -22,7 +22,10 @@ from .errors import AmbientMismatchError, PrecisionError, SchemaError
 
 def extended_genus_characters(x):
     """Character group of the extended genus field: the product of the
-    p-components of X, inflated back to the full modulus."""
+    p-components of X, inflated back to the full modulus.
+
+    Generic over the ambient: over F_q(T) the components are the
+    P-components of a polynomial modulus."""
     amb = x.ambient
     gens = []
     for component in amb.components():

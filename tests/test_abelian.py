@@ -227,7 +227,10 @@ class TestLatticeLaws:
         a = ab.subgroup_from_generators(g, vecs[:2])
         b = ab.subgroup_from_generators(g, vecs[2:])
         ea, eb = sub_elements(a), sub_elements(b)
-        assert sub_elements(ab.intersect(a, b)) == ea & eb
+        meet = ab.intersect(a, b)
+        assert sub_elements(meet) == ea & eb
+        # the canonical lattice, not only the element set
+        assert meet == ab.subgroup_from_generators(g, sorted(ea & eb))
         j = ab.product(a, b)
         assert sub_elements(j) >= ea | eb
         assert len(sub_elements(j)) == j.order
@@ -249,6 +252,30 @@ class TestLatticeLaws:
         assert a.order * a.index == g.order
         assert a.structure().order == a.order
         assert ab.quotient_structure(a).order == a.index
+
+
+class TestNormalForms:
+    @given(st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+                    min_size=1, max_size=4),
+           group_and_elements(count=3))
+    @settings(max_examples=120, deadline=None)
+    def test_transforms_and_invariant_factors(self, m, data):
+        h, u = ab.hnf_with_transform(m, 3)
+        assert [list(r) for r in h] == [
+            [sum(u[i][k] * m[k][j] for k in range(len(m))) for j in range(3)]
+            for i in range(len(m))]
+        assert tuple(r for r in h if any(r)) == ab.hnf(m, 3)
+        u_inv = ab.unimodular_inverse(u)
+        assert ab.unimodular_inverse(u_inv) == [tuple(r) for r in u]
+        n = len(u)
+        assert [[sum(u[i][k] * u_inv[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)] == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+        g, vecs = data
+        sub = ab.subgroup_from_generators(g, vecs)
+        diag = ab.smith_normal_form(list(sub.lattice), g.rank)
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        assert prod(diag) == sub.index
 
 
 class TestOrderTwoJoinIdentity:

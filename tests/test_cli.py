@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from genusfields import cli
+from genusfields import characters, cli
 from genusfields.errors import SchemaError
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(args, env_bound=None):
@@ -151,6 +152,19 @@ def test_reports_are_byte_identical():
         assert out1 == out2
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".toml")] for f in os.listdir(SCRIPTS) if f.endswith(".toml")))
+def test_script_report_matches_golden(name):
+    # tests/golden/<name>.json holds the `--json` report of each sample
+    # descriptor; refactors must reproduce it byte for byte
+    spec = os.path.join(SCRIPTS, name + ".toml")
+    command = cli.load_document(spec)["kind"].split("-")[0]
+    code, out = run_cli([command, "--spec", spec, "--json"])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_json_report_round_trips():
     code, out = run_cli(["number", "--spec",
                          os.path.join(SCRIPTS, "quad_minus5.toml"), "--json"])
@@ -207,6 +221,65 @@ def test_level_flag_must_match_document():
                        os.path.join(SCRIPTS, "local_two.toml"),
                        "--level", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("p, expected", [
+    (4, 2), (6, 2), (-3, 2), (1, 2),
+    # refused by size before p is factored by trial division
+    (10 ** 18 + 9, 3),
+])
+def test_number_local_requires_a_prime(tmp_path, p, expected):
+    doc = tmp_path / "local.toml"
+    doc.write_text(f'kind = "number-local"\np = {p}\nlevel = 2\n'
+                   "[[primes]]\ne = 2\nf = 1\nnorm_residues = [1]\n")
+    code, out = run_cli(["number", "--spec", str(doc), "--json"])
+    assert code == expected and out == ""
+
+
+def test_number_local_requires_a_positive_level(tmp_path):
+    doc = tmp_path / "local.toml"
+    doc.write_text('kind = "number-local"\np = 3\nlevel = 0\n'
+                   "[[primes]]\ne = 2\nf = 1\nnorm_residues = [1]\n")
+    assert run_cli(["number", "--spec", str(doc)])[0] == 2
+
+
+def test_field_size_beyond_small_primes(tmp_path):
+    # q = 17^2; a character of order 2 keeps the report small
+    doc = tmp_path / "f289.toml"
+    doc.write_text('kind = "function-abelian"\nq = 289\nmodulus = [1, 1]\n'
+                   "characters = [[144]]\n")
+    code, out = run_cli(["function", "--spec", str(doc), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] == 289 and payload["field_degree"] == 2
+
+
+@pytest.mark.parametrize("q, expected", [
+    (6, 2), (1, 2), (0, 2),
+    # refused by size before q is factored by trial division
+    (2 ** 17, 3), (10 ** 18 + 9, 3),
+])
+def test_field_size_must_be_a_prime_power(tmp_path, q, expected):
+    doc = tmp_path / "bad_q.toml"
+    doc.write_text(f'kind = "function-abelian"\nq = {q}\nmodulus = [1, 1]\n'
+                   "characters = []\n")
+    assert run_cli(["function", "--spec", str(doc)])[0] == expected
+
+
+@pytest.mark.parametrize("command, script, constructor", [
+    ("function", "cyclo_p.toml", "ff_ambient"),
+    ("number", "quad_minus5.toml", "numeric_ambient"),
+    ("number", "trivial.toml", "numeric_ambient"),
+])
+def test_bound_is_checked_before_building(monkeypatch, command, script,
+                                          constructor):
+    def refuse(*args):
+        raise AssertionError("ambient built before the bound check")
+
+    monkeypatch.setattr(characters, constructor, refuse)
+    code, out = run_cli([command, "--spec", os.path.join(SCRIPTS, script),
+                         "--bound", "1"])
+    assert code == 3 and out == ""
 
 
 def test_console_script_is_installed():
