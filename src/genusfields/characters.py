@@ -8,7 +8,8 @@ equality is exact.
 
 The two ambient kinds (integer modulus, polynomial modulus) expose the
 same surface: unit group with dlog/exp, CRT components per prime, and
-divisor enumeration for conductors.
+generators of each component's 1-units U^(b), from which conductors are
+read one prime at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Component:
 
 
 class NumericAmbient:
-    """The unit group (Z/nZ)* with CRT components and divisor enumeration."""
+    """The unit group (Z/nZ)* with CRT components and their 1-units."""
 
     kind = "number"
 
@@ -84,10 +85,15 @@ class NumericAmbient:
             return u % self.modulus
         return abelian._crt_pair(u % q, q, 1 % cof, cof)
 
-    def divisor_moduli(self):
-        """Divisors of the modulus that are valid moduli, ascending."""
-        n = self.modulus
-        return [d for d in range(1, n + 1) if n % d == 0]
+    def one_units(self, component, b):
+        """Residues mod n generating the units = 1 mod p^b at the
+        component and = 1 at the other components."""
+        p, a = component.ambient.factorization[0]
+        if b == 0 or (p == 2 and b == 1):  # (Z/2^a)* -> (Z/2)* is trivial
+            gens = component.ambient.generators
+        else:
+            gens = (1 + p ** b,) if b < a else ()
+        return tuple(self.lift(component, g) for g in gens)
 
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the divisor m."""
@@ -145,8 +151,6 @@ class FunctionFieldAmbient:
 
     def lift(self, component, u):
         target = component.ambient.modulus
-        out = fqpoly.one(self.field)
-        # build via CRT against the cofactor
         cof = self.modulus // target
         if cof.degree == 0:
             return u % self.modulus
@@ -155,17 +159,23 @@ class FunctionFieldAmbient:
         return (fqpoly.one(self.field)
                 + (u - fqpoly.one(self.field)) * idem) % self.modulus
 
-    def divisor_moduli(self):
-        """Monic divisors of N ordered by degree then code."""
-        divs = [fqpoly.one(self.field)]
-        for p_, a in self.factored.factors:
-            grown = []
-            power = fqpoly.one(self.field)
-            for _ in range(a + 1):
-                grown.extend(d * power for d in divs)
-                power = power * p_
-            divs = grown
-        return sorted(divs, key=lambda d: (d.degree, d.code()))
+    def one_units(self, component, b):
+        """Residues mod N generating the units = 1 mod P^b at the
+        component and = 1 at the other components: 1 + x*P^k for
+        b <= k < a and x in an F_p-basis c*T^j of F_q[T]/P."""
+        p_, a = component.ambient.factored.factors[0]
+        if b == 0:
+            gens = component.ambient.generators
+        else:
+            fld = self.field
+            one = fqpoly.one(fld)
+            powers = [one]  # P^k for k < a
+            while len(powers) < a:
+                powers.append(powers[-1] * p_)
+            gens = [one + fqpoly.poly(fld, (0,) * j + (fld.p ** i,)) * pk
+                    for pk in powers[b:]
+                    for j in range(p_.degree) for i in range(fld.s)]
+        return tuple(self.lift(component, g) for g in gens)
 
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the monic divisor m."""
@@ -350,18 +360,11 @@ def kronecker_symbol(d, n):
 
 
 def is_fundamental_discriminant(d):
+    def squarefree(m):
+        return all(a == 1 for _, a in abelian.factorize(abs(m)))
+
     if d == 1 or d == 0:
         return False
-
-    def squarefree(m):
-        m = abs(m)
-        k = 2
-        while k * k <= m:
-            if m % (k * k) == 0:
-                return False
-            k += 1
-        return True
-
     if d % 4 == 1:
         return squarefree(d)
     if d % 4 == 0:
@@ -514,14 +517,16 @@ def ramification_exponents(x):
 
 
 def conductor_of_group(x):
-    """Conductor of the field cut out by X: lcm/product over its characters.
-
-    Computed as the smallest divisor modulus through which every member
-    factors; a member factors when the generators of X all do.
-    """
+    """Conductor of the field cut out by X: the product over the
+    components of key^f, f the least level b whose 1-units U^(b) every
+    generator of X kills (so every member of X does)."""
+    amb = x.ambient
     gens = x.generators()
-    for m in x.ambient.divisor_moduli():
-        kern = x.ambient.reduction_kernel(m)
-        if all(chi.value_exponent(u) == 0 for chi in gens for u in kern):
-            return m
-    raise RuntimeError("conductor search fell through the divisor lattice")
+    out = amb.exp(amb.group.identity)  # the unit 1
+    for component in amb.components():
+        b = 0
+        while any(chi.value_exponent(u) for u in amb.one_units(component, b)
+                  for chi in gens):
+            b += 1
+            out = out * component.key
+    return out

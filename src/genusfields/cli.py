@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 from . import (abelian, characters, fqpoly, genus_function, genus_number,
@@ -320,8 +320,8 @@ def _local_number_payload(doc, bound, level_flag):
                                  f"{abelian.UNIT_GROUP_BOUND}")
     if abelian.factorize(p) != [(p, 1)]:
         raise SchemaError(f"p = {p} is not a prime")
+    _check_bound((p - 1) * p ** (level - 1), bound)
     modulus = p ** level
-    _check_bound(modulus, bound)
     units = abelian.unit_group(modulus)
     primes = doc.get("primes")
     if not isinstance(primes, list) or not primes:
@@ -485,6 +485,7 @@ def _emit(payload, as_json, stream):
 # ---------------------------------------------------------------------------
 # Entry point
 
+@lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="genusctl",

@@ -422,14 +422,8 @@ def component_fields(x):
     out = {}
     degree_product = 1
     for key, xp in comps.items():
-        cond = characters.conductor_of_group(xp)
-        t = 0
-        work = cond
-        while work.degree >= key.degree and (work % key).is_zero:
-            work = work // key
-            t += 1
-        if work.degree != 0:
-            raise RuntimeError("component conductor has a foreign factor")
+        # the conductor of a P-component is a power of P, built as one
+        t = characters.conductor_of_group(xp).degree // key.degree
         out[key] = (xp.order, t)
         degree_product *= xp.order
     if degree_product != extended.order:

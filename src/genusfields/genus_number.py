@@ -36,9 +36,16 @@ def extended_genus_characters(x):
 
 
 def plus_part(x):
-    """Subgroup of even characters; index 1 or 2."""
-    evens = [chi for chi in x.characters() if characters.is_even(chi)]
-    out = characters.character_group(x.ambient, evens)
+    """Subgroup of even characters; index 1 or 2.
+
+    The kernel of the parity map X -> {+-1}: the even generators of X and
+    each odd generator times the first odd one g0 (g0^2 among them).
+    """
+    even, odd = [], []
+    for chi in x.generators():
+        (even if characters.is_even(chi) else odd).append(chi)
+    out = characters.character_group(
+        x.ambient, even + [chi * odd[0] for chi in odd])
     if x.order % out.order or x.order // out.order > 2:
         raise RuntimeError("even part has impossible index")
     return out
@@ -145,16 +152,11 @@ def lp_degree_is_stable(data):
     congruent to 1 modulo p^(level-1); then raising the level cannot
     change the index.
     """
-    amb = abelian.unit_group(data.p ** data.level)
-    subs = [rec.norm_subgroup for rec in data.primes_above]
-    prod_sub = reduce(abelian.product, subs)
-    lower = data.p ** (data.level - 1)
-    if lower == 1:
-        return prod_sub.index == 1
-    for u in amb.residues():
-        if u % lower == 1 and not prod_sub.contains(amb.dlog(u)):
-            return False
-    return True
+    amb = characters.numeric_ambient(data.p ** data.level)
+    prod_sub = reduce(abelian.product,
+                      [rec.norm_subgroup for rec in data.primes_above])
+    return all(prod_sub.contains(amb.dlog(u))
+               for u in amb.one_units(amb.components()[0], data.level - 1))
 
 
 def tame_degree(p, ramification_indices):
@@ -203,8 +205,8 @@ def classify_l2(h, modulus, m=None):
     k = _two_power_level(modulus)
     if k < 2:
         raise SchemaError("modulus must be a 2-power of at least 4")
-    units = abelian.unit_group(modulus)
-    if units.group != h.ambient:
+    amb = characters.numeric_ambient(modulus)
+    if amb.group != h.ambient:
         raise SchemaError(
             "subgroup does not live in the unit group of the stated modulus")
     m_found = _two_power_level(h.index)
@@ -214,12 +216,10 @@ def classify_l2(h, modulus, m=None):
     if m == 0:
         return L2Classification(PLUS_FIELD, 0, "Q")
 
-    minus_one = units.dlog(modulus - 1)
-    if h.contains(minus_one):
+    if h.contains(amb.dlog(amb.minus_one)):
         return L2Classification(PLUS_FIELD, m, f"Q(zeta_{2 ** (m + 2)})^+")
-    kernel = abelian.subgroup_from_generators(
-        units.group,
-        [units.dlog(u) for u in units.residues() if u % (1 << (m + 1)) == 1])
+    kernel = abelian.subgroup_from_generators(amb.group, [
+        amb.dlog(u) for u in amb.one_units(amb.components()[0], m + 1)])
     if h == kernel:
         return L2Classification(FULL_CYCLOTOMIC, m, f"Q(zeta_{2 ** (m + 1)})")
     if k < m + 2:

@@ -1,11 +1,13 @@
 """Dirichlet characters, Kronecker symbols, and character groups."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusfields import abelian, characters as ch, fqpoly
+from genusfields import genus_number as gn
 from genusfields.errors import SchemaError
 
 
@@ -126,7 +128,7 @@ def test_conductor_on_modulus_100():
         assert all(chi.value_exponent(u) == 0
                    for u in amb.reduction_kernel(f))
         # and f is minimal among divisor moduli with that property
-        for m in amb.divisor_moduli():
+        for m in [d for d in range(1, 101) if 100 % d == 0]:
             if m < f and f % m == 0:
                 assert any(chi.value_exponent(u) != 0
                            for u in amb.reduction_kernel(m))
@@ -289,3 +291,114 @@ def test_ff_ramification_uses_residue_characteristic():
     x = ch.full_dual(amb)
     ram = ch.ramification_exponents(x)
     assert ram[t] == {"e": 4, "tame": 1, "wild": 4}
+
+
+# ---------------------------------------------------------------------------
+# Conductors and even parts against their definitions
+
+def _divisor_kernels(amb):
+    """(m, units = 1 mod m) for every divisor m of the modulus, least
+    first: ascending integers, or monic polynomials by degree then code."""
+    if amb.kind == "number":
+        n = amb.modulus
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+    else:
+        divs = [fqpoly.one(amb.field)]
+        for p_, a in amb.factored.factors:
+            powers = [fqpoly.one(amb.field)]
+            for _ in range(a):
+                powers.append(powers[-1] * p_)
+            divs = [d * pw for d in divs for pw in powers]
+        divs.sort(key=lambda d: (d.degree, d.code()))
+    return [(m, amb.reduction_kernel(m)) for m in divs]
+
+
+def _brute_conductor(x, kernels):
+    """The least divisor m whose reduction kernel X kills."""
+    gens = x.generators()
+    for m, kern in kernels:
+        if all(chi.value_exponent(u) == 0 for chi in gens for u in kern):
+            return m
+    raise AssertionError("no divisor kernel is killed")
+
+
+def _cyclic_subgroups(amb):
+    return {ch.character_group(amb, [ch.Character(amb, vec)])
+            for vec in amb.group.elements()}
+
+
+def _random_group(amb, rng, max_gens):
+    return ch.character_group(amb, [
+        ch.Character(amb, tuple(rng.randrange(d)
+                                for d in amb.group.invariant_factors))
+        for _ in range(rng.randint(1, max_gens))])
+
+
+def test_conductor_agrees_with_divisor_scan_on_cyclic_groups():
+    for n in range(2, 121):
+        amb = ch.numeric_ambient(n)
+        kernels = _divisor_kernels(amb)
+        for x in _cyclic_subgroups(amb):
+            assert ch.conductor_of_group(x) == _brute_conductor(x, kernels)
+
+
+def test_conductor_agrees_with_divisor_scan_on_random_groups():
+    rng = random.Random(20190)
+    for _ in range(150):
+        amb = ch.numeric_ambient(rng.randint(2, 600))
+        x = _random_group(amb, rng, 3)
+        assert (ch.conductor_of_group(x)
+                == _brute_conductor(x, _divisor_kernels(amb)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ff_conductor_agrees_with_divisor_scan(q):
+    p, s = abelian.factorize(q)[0]
+    fld = fqpoly.fq_field(p, s)
+    degree = 1
+    while q ** degree <= 32:
+        for n in fqpoly.monic_polys(fld, degree):
+            amb = ch.ff_ambient(fqpoly.factor_modulus(n))
+            kernels = _divisor_kernels(amb)
+            for x in _cyclic_subgroups(amb) | {ch.full_dual(amb)}:
+                assert (ch.conductor_of_group(x)
+                        == _brute_conductor(x, kernels))
+        degree += 1
+
+
+def _ff_ambient(q, coeffs):
+    p, s = abelian.factorize(q)[0]
+    fld = fqpoly.fq_field(p, s)
+    return ch.ff_ambient(fqpoly.factor_modulus(fqpoly.poly(fld, coeffs)))
+
+
+@pytest.mark.parametrize("amb", [
+    ch.numeric_ambient(n) for n in (2, 16, 48, 135, 196, 250)] + [
+    _ff_ambient(2, (0, 0, 0, 1, 1, 0, 1, 1)),   # T^3 (T + 1)^2 (T^2 + T + 1)
+    _ff_ambient(3, (0, 1, 0, 2, 0, 1)),         # T (T^2 + 1)^2
+    _ff_ambient(4, (0, 0, 1, 1)),               # T^2 (T + 1)
+    _ff_ambient(4, (0, 0, 1, 3, 1))],           # T^2 (T^2 + 3*T + 1)
+    ids=repr)
+def test_one_units_generate_the_congruence_subgroups(amb):
+    # one_units(component, b) generates the units = 1 mod key^b at the
+    # component (= 1 at level b >= a) and = 1 at the other components
+    number = amb.kind == "number"
+    for component in amb.components():
+        q = component.ambient.modulus
+        power = 1 if number else fqpoly.one(amb.field)
+        for b in range(6):
+            level = math.gcd(power, q) if number else fqpoly.poly_gcd(power, q)
+            expected = set(amb.reduction_kernel(level * (amb.modulus // q)))
+            generated = abelian.subgroup_from_generators(
+                amb.group, [amb.dlog(u) for u in amb.one_units(component, b)])
+            assert {amb.exp(vec) for vec in generated.elements()} == expected
+            power = power * component.key
+
+
+def test_plus_part_is_the_even_characters():
+    rng = random.Random(2019)
+    for _ in range(120):
+        amb = ch.numeric_ambient(rng.randint(2, 300))
+        x = _random_group(amb, rng, 3)
+        evens = [chi for chi in x.characters() if ch.is_even(chi)]
+        assert gn.plus_part(x) == ch.character_group(amb, evens)

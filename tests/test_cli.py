@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genusfields import characters, cli
+from genusfields import abelian, characters, cli
 from genusfields.errors import SchemaError
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -280,6 +280,30 @@ def test_bound_is_checked_before_building(monkeypatch, command, script,
     code, out = run_cli([command, "--spec", os.path.join(SCRIPTS, script),
                          "--bound", "1"])
     assert code == 3 and out == ""
+
+
+def test_number_local_bound_counts_units(monkeypatch):
+    # (Z/16)* has 8 elements: the bound is compared with phi(16), not 16
+    local = os.path.join(SCRIPTS, "local_two.toml")
+    assert run_cli(["number", "--spec", local, "--bound", "8"])[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("unit group built before the bound check")
+
+    monkeypatch.setattr(abelian, "unit_group", refuse)
+    code, out = run_cli(["number", "--spec", local, "--bound", "7"])
+    assert code == 3 and out == ""
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["number", "--bound", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out = run_cli(["number", "--spec",
+                         os.path.join(SCRIPTS, "trivial.toml"), "--json"])
+    assert code == 0 and json.loads(out)["field_degree"] == 1
 
 
 def test_console_script_is_installed():
