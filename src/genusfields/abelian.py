@@ -216,6 +216,13 @@ class FiniteAbelianGroup:
     def scale(self, x, c):
         return tuple((a * c) % d for a, d in zip(x, self.invariant_factors))
 
+    def pairing(self, b, v):
+        """<b, v> = sum b_i v_i (e/d_i) mod e, e the exponent: the value at v
+        of the character with exponent vector b, as an exponent of zeta_e."""
+        e = self.exponent
+        return sum(x * y * (e // d)
+                   for x, y, d in zip(b, v, self.invariant_factors)) % e
+
     def element_order(self, x):
         o = 1
         for a, d in zip(x, self.invariant_factors):
@@ -385,6 +392,25 @@ def intersect(a, b):
     h = hnf([r + r for r in a.lattice] + [r + (0,) * k for r in b.lattice],
             2 * k)
     return _from_lattice(a.ambient, tuple(r[k:] for r in h[k:]))
+
+
+def pairing_kernel(sub, vecs):
+    """The elements b of `sub` with <b, v> = 0 for every v in `vecs`.
+
+    The same block method as `intersect`: one HNF of the rows
+    [<r, v>_v | r] for the lattice rows r of sub, and [e*I | 0], with m =
+    len(vecs) left columns.  They span the pairs (phi(x) + e*z, x) with x
+    in the lattice and phi(x) the pairings of x, so the zero-left rows
+    span {0} x (the kernel).  The left half has rank m, and the kernel
+    contains diag(d), so the last k rows are those, and their right
+    halves are its canonical lattice.
+    """
+    g = sub.ambient
+    m = len(vecs)
+    rows = [[g.pairing(r, v) for v in vecs] + list(r) for r in sub.lattice]
+    rows += [r + [0] * g.rank for r in _diagonal([g.exponent] * m)]
+    h = hnf(rows, m + g.rank)
+    return _from_lattice(g, tuple(r[m:] for r in h[m:]))
 
 
 def is_cyclic(sub):

@@ -70,6 +70,11 @@ class NumericAmbient:
     def minus_one(self):
         return self.modulus - 1
 
+    def units_at_infinity(self):
+        """Generators of the image of the units at the infinite prime:
+        -1, whose class is complex conjugation."""
+        return (self.minus_one,)
+
     def components(self):
         return tuple(Component(p, numeric_ambient(p ** a))
                      for p, a in self.factorization)
@@ -159,6 +164,16 @@ class FunctionFieldAmbient:
         return (fqpoly.one(self.field)
                 + (u - fqpoly.one(self.field)) * idem) % self.modulus
 
+    def units_at_infinity(self):
+        """Generators of the image of the units at the infinite prime: the
+        constants F_q*, by their least generator (one column in
+        `abelian.pairing_kernel` instead of q - 1)."""
+        fld = self.field
+        primes = [l for l, _ in abelian.factorize(fld.q - 1)]
+        c = next(c for c in range(1, fld.q)
+                 if all(fld.pow(c, (fld.q - 1) // l) != 1 for l in primes))
+        return (fqpoly.poly(fld, (c,)),)
+
     def one_units(self, component, b):
         """Residues mod N generating the units = 1 mod P^b at the
         component and = 1 at the other components: 1 + x*P^k for
@@ -230,11 +245,8 @@ class Character:
 
     def value_exponent(self, u):
         """chi(u) as an exponent of zeta_e, e the unit-group exponent."""
-        g = self.ambient.group
-        e = g.exponent
-        v = self.ambient.dlog(u)
-        return sum(b * x * (e // d)
-                   for b, x, d in zip(self.exponents, v, g.invariant_factors)) % e
+        return self.ambient.group.pairing(self.exponents,
+                                          self.ambient.dlog(u))
 
     def __mul__(self, other):
         if self.ambient != other.ambient:
@@ -270,8 +282,6 @@ def parity(chi):
     """'even' when chi(-1) = 1, 'odd' otherwise.  Numeric moduli only."""
     if chi.ambient.kind != "number":
         raise SchemaError("parity is defined only for integer moduli")
-    if chi.ambient.modulus <= 2:
-        return "even"
     return "even" if chi.value_exponent(chi.ambient.minus_one) == 0 else "odd"
 
 
@@ -516,17 +526,33 @@ def ramification_exponents(x):
     return out
 
 
-def conductor_of_group(x):
-    """Conductor of the field cut out by X: the product over the
-    components of key^f, f the least level b whose 1-units U^(b) every
+def conductor_exponents(x):
+    """Per prime key of the modulus, its exponent f in the conductor of the
+    field cut out by X: the least level b whose 1-units U^(b) every
     generator of X kills (so every member of X does)."""
     amb = x.ambient
-    gens = x.generators()
-    out = amb.exp(amb.group.identity)  # the unit 1
+    gens = [chi.exponents for chi in x.generators()]
+    out = {}
     for component in amb.components():
         b = 0
-        while any(chi.value_exponent(u) for u in amb.one_units(component, b)
-                  for chi in gens):
+        while any(amb.group.pairing(vec, v)
+                  for v in map(amb.dlog, amb.one_units(component, b))
+                  for vec in gens):
             b += 1
-            out = out * component.key
+        out[component.key] = b
     return out
+
+
+def conductor_from_exponents(amb, exponents):
+    """The modulus prod key^f for a map {key: f}."""
+    out = amb.exp(amb.group.identity)  # the unit 1
+    for key, f in exponents.items():
+        for _ in range(f):
+            out = out * key
+    return out
+
+
+def conductor_of_group(x):
+    """Conductor of the field cut out by X: the product over the
+    components of key^f, f from `conductor_exponents`."""
+    return conductor_from_exponents(x.ambient, conductor_exponents(x))

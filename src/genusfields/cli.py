@@ -127,7 +127,7 @@ def load_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read spec file: {exc}") from exc
     doc = parse_document(text)
     if "kind" not in doc:
@@ -137,6 +137,9 @@ def load_document(path):
 
 # ---------------------------------------------------------------------------
 # Document interpretation
+
+ABELIAN_KINDS = ("number-abelian", "number-quadratic", "function-abelian")
+
 
 def _need(doc, key, types, where="document"):
     if key not in doc:
@@ -217,13 +220,20 @@ def _ff_ambient_from_doc(doc, bound):
     return amb, _character_group_from_doc(amb, doc)
 
 
-def _check_unit_count(n, bound):
-    """Check |(Z/nZ)*| = phi(n) against the bound before building it.
+def _abelian_from_doc(doc, bound):
+    """(ambient, X) for an abelian descriptor over Q or F_q(T)."""
+    if doc["kind"] == "function-abelian":
+        return _ff_ambient_from_doc(doc, bound)
+    return _numeric_ambient_from_doc(doc, bound)
 
-    Moduli above UNIT_GROUP_BOUND are refused by `abelian.unit_group`
-    before it does any work, so they are not factored here.
-    """
-    if bound is not None and n <= abelian.UNIT_GROUP_BOUND:
+
+def _check_unit_count(n, bound):
+    """Check n against UNIT_GROUP_BOUND and |(Z/nZ)*| = phi(n) against the
+    bound, before anything factors n or builds its unit group."""
+    if n > abelian.UNIT_GROUP_BOUND:
+        raise BoundExceededError(f"modulus {n} exceeds the unit-group bound "
+                                 f"{abelian.UNIT_GROUP_BOUND}")
+    if bound is not None:
         _check_bound(prod((p - 1) * p ** (a - 1)
                           for p, a in abelian.factorize(n)), bound)
 
@@ -244,10 +254,9 @@ def _generator_header(amb):
     return gens
 
 
-def _abelian_number_payload(doc, bound):
-    amb, x = _numeric_ambient_from_doc(doc, bound)
+def _abelian_payload(doc, amb, x):
     report = genus_number.build_report(x)
-    return {
+    payload = {
         "kind": doc["kind"],
         "modulus": report.modulus,
         "unit_group": str(amb.group),
@@ -258,41 +267,19 @@ def _abelian_number_payload(doc, bound):
         "extended_degree_over_field": report.extended_degree_over_k,
         "gap": report.gap,
         "conductor": report.conductor,
-        "primes": [
+    }
+    if amb.kind == "number":
+        payload["primes"] = [
             {"prime": label, "e": e, "tame": tame, "wild": wild,
              "component_degree": comp}
-            for label, e, tame, wild, comp in report.prime_table],
-    }
-
-
-def _abelian_function_payload(doc, bound):
-    amb, x = _ff_ambient_from_doc(doc, bound)
-    extended = genus_function.extended_genus_characters_ff(x)
-    genus = genus_function.genus_characters_ff(x)
-    comps = genus_function.component_fields(x)
-    ram = characters.ramification_exponents(x)
-    primes = []
-    for key in sorted(comps, key=lambda k: (k.degree, k.code())):
-        deg, cond_exp = comps[key]
-        info = ram.get(key, {"e": 1, "tame": 1, "wild": 1})
-        primes.append({"prime": str(key), "e": info["e"],
-                       "tame": info["tame"], "wild": info["wild"],
-                       "component_degree": deg,
-                       "conductor_exponent": cond_exp})
-    return {
-        "kind": doc["kind"],
-        "q": amb.field.q,
-        "modulus": amb.modulus_label(),
-        "unit_group": str(amb.group),
-        "generators": _generator_header(amb),
-        "characters": [list(chi.exponents) for chi in x.generators()],
-        "field_degree": x.order,
-        "genus_degree_over_field": genus.order // x.order,
-        "extended_degree_over_field": extended.order // x.order,
-        "gap": extended.order // genus.order,
-        "conductor": str(characters.conductor_of_group(extended)),
-        "primes": primes,
-    }
+            for label, e, tame, wild, comp in report.prime_table]
+    else:
+        payload["q"] = amb.field.q
+        payload["primes"] = [
+            {"prime": str(key), "e": e, "tame": tame, "wild": wild,
+             "component_degree": e, "conductor_exponent": f}
+            for key, e, tame, wild, f in report.primes]
+    return payload
 
 
 def _subgroup_from_residues(units, residues, where):
@@ -418,16 +405,9 @@ def _local_function_payload(doc, bound, level_flag):
 
 def _oracle_payload(doc, bound):
     kind = doc["kind"]
-    if kind in ("number-abelian", "number-quadratic"):
-        amb, x = _numeric_ambient_from_doc(doc, bound)
-        closed_extended = genus_number.extended_genus_characters(x)
-        closed_genus = genus_number.genus_characters(x)
-    elif kind == "function-abelian":
-        amb, x = _ff_ambient_from_doc(doc, bound)
-        closed_extended = genus_function.extended_genus_characters_ff(x)
-        closed_genus = genus_function.genus_characters_ff(x)
-    else:
+    if kind not in ABELIAN_KINDS:
         raise SchemaError(f"the oracle subcommand does not apply to {kind!r}")
+    amb, x = _abelian_from_doc(doc, bound)
     lattice = oracle.enumerate_subfields(amb)
     extended = oracle.maximal_extended_search(x)
     payload = {
@@ -436,12 +416,14 @@ def _oracle_payload(doc, bound):
         "subgroup_count": len(lattice.subgroups),
         "field_degree": x.order,
         "extended_degree": extended.order,
-        "extended_matches_closed_form": extended == closed_extended,
+        "extended_matches_closed_form":
+            extended == genus_number.extended_genus_characters(x),
     }
     if amb.kind == "number":
         genus = oracle.maximal_genus_search(x)
         payload["genus_degree"] = genus.order
-        payload["genus_matches_closed_form"] = genus == closed_genus
+        payload["genus_matches_closed_form"] = \
+            genus == genus_number.genus_characters(x)
     return payload
 
 
@@ -556,30 +538,20 @@ def main(argv=None):
             raise SchemaError(f"the {args.command} subcommand needs --spec")
         doc = load_document(args.spec)
         kind = doc["kind"]
-        if args.command == "number":
-            if kind in ("number-abelian", "number-quadratic"):
-                if args.level is not None:
-                    raise SchemaError(
-                        "--level applies only to local descriptors")
-                payload = _abelian_number_payload(doc, bound)
-            elif kind == "number-local":
-                payload = _local_number_payload(doc, bound, args.level)
-            else:
-                raise SchemaError(
-                    f"kind {kind!r} is not a number-field descriptor")
-        elif args.command == "function":
-            if kind == "function-abelian":
-                if args.level is not None:
-                    raise SchemaError(
-                        "--level applies only to local descriptors")
-                payload = _abelian_function_payload(doc, bound)
-            elif kind == "function-local":
-                payload = _local_function_payload(doc, bound, args.level)
-            else:
-                raise SchemaError(
-                    f"kind {kind!r} is not a function-field descriptor")
-        else:
+        if args.command == "oracle":
             payload = _oracle_payload(doc, bound)
+        elif kind in ABELIAN_KINDS and kind.startswith(args.command + "-"):
+            if args.level is not None:
+                raise SchemaError(
+                    "--level applies only to local descriptors")
+            payload = _abelian_payload(doc, *_abelian_from_doc(doc, bound))
+        elif kind == args.command + "-local":
+            local = (_local_number_payload if kind == "number-local"
+                     else _local_function_payload)
+            payload = local(doc, bound, args.level)
+        else:
+            raise SchemaError(
+                f"kind {kind!r} is not a {args.command}-field descriptor")
         _emit(payload, args.json, stream)
         return 0
     except SchemaError as exc:

@@ -2,9 +2,11 @@
 cyclotomic extensions of F_q(T), the finite idele-quotient isomorphism,
 and the invariants of the field S carrying the infinite prime's data.
 
-The infinite prime sits at pi = 1/T; its local units are modeled by the
-finite quotient F_q* x U^(1)/U^(n_max) with a free integer coordinate for
-the pi-valuation.
+The genus and extended genus groups of a character group mod N come from
+the one pipeline in `genus_number`; the entry points here check that the
+modulus is a polynomial.  The infinite prime sits at pi = 1/T; its local
+units are modeled by the finite quotient F_q* x U^(1)/U^(n_max) with a
+free integer coordinate for the pi-valuation.
 """
 
 from __future__ import annotations
@@ -387,21 +389,21 @@ def all_factored_moduli(fld, max_size):
 # ---------------------------------------------------------------------------
 # Genus at the finite primes (cyclotomic character groups)
 
+def _polynomial_modulus(x):
+    if x.ambient.kind != "function":
+        raise SchemaError("expected a polynomial-modulus character group")
+    return x
+
+
 def extended_genus_characters_ff(x):
     """Product of the P-components of X: the cyclotomic character group of
     the extension maximal unramified at the finite primes."""
-    if x.ambient.kind != "function":
-        raise SchemaError("expected a polynomial-modulus character group")
-    return genus_number.extended_genus_characters(x)
+    return genus_number.extended_genus_characters(_polynomial_modulus(x))
 
 
 def constants_kernel_part(x):
-    """Members trivial on the constant residues F_q* inside the units."""
-    fld = x.ambient.field
-    consts = [fqpoly.poly(fld, (c,)) for c in range(1, fld.q)]
-    keep = [chi for chi in x.characters()
-            if all(chi.value_exponent(c) == 0 for c in consts)]
-    return characters.character_group(x.ambient, keep)
+    """Members trivial on the constants F_q* inside the units."""
+    return genus_number.plus_part(_polynomial_modulus(x))
 
 
 def genus_characters_ff(x):
@@ -416,19 +418,9 @@ def genus_characters_ff(x):
 
 def component_fields(x):
     """Per prime P of the modulus: degree of the P-component field and the
-    conductor exponent of P in it."""
-    extended = extended_genus_characters_ff(x)
-    comps = characters.component_decompose(extended)
-    out = {}
-    degree_product = 1
-    for key, xp in comps.items():
-        # the conductor of a P-component is a power of P, built as one
-        t = characters.conductor_of_group(xp).degree // key.degree
-        out[key] = (xp.order, t)
-        degree_product *= xp.order
-    if degree_product != extended.order:
-        raise RuntimeError("component degrees must multiply to the total")
-    return out
+    conductor exponent of P in it, as in the genus report."""
+    report = genus_number.build_report(_polynomial_modulus(x))
+    return {key: (e, f) for key, e, _, _, f in report.primes}
 
 
 def tame_ramification_ff(d_p, e, q):

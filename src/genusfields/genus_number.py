@@ -1,31 +1,30 @@
-"""Genus and extended genus fields of abelian number fields.
+"""Genus and extended genus fields of abelian extensions of Q and F_q(T).
 
 An abelian field K is its character group X.  The extended genus field is
-cut out by the product of the p-components of X; the genus field adds the
-even part of that product to X.  For non-abelian K the same degree
-formulas run off user-supplied local norm subgroups at a finite 2-adic or
-p-adic level.
+cut out by the product of the p-components of X (P-components over
+F_q(T)).  The genus field adds to X the part of that product trivial on
+the units at the infinite prime: -1 over Q, the constants F_q* over
+F_q(T), whose fixed field is Hayes' real subfield.  One pipeline serves
+both ambient kinds.  For non-abelian K the same degree formulas run off
+user-supplied local norm subgroups at a finite 2-adic or p-adic level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import abelian, characters
 from .errors import AmbientMismatchError, PrecisionError, SchemaError
 
 
 # ---------------------------------------------------------------------------
-# Character-group mode (abelian K over Q)
+# Character-group mode (abelian K over Q or F_q(T))
 
 def extended_genus_characters(x):
     """Character group of the extended genus field: the product of the
-    p-components of X, inflated back to the full modulus.
-
-    Generic over the ambient: over F_q(T) the components are the
-    P-components of a polynomial modulus."""
+    p-components of X, inflated back to the full modulus."""
     amb = x.ambient
     gens = []
     for component in amb.components():
@@ -36,30 +35,31 @@ def extended_genus_characters(x):
 
 
 def plus_part(x):
-    """Subgroup of even characters; index 1 or 2.
+    """Members of X trivial on the units at the infinite prime: the even
+    characters over Q, those trivial on F_q* over F_q(T).
 
-    The kernel of the parity map X -> {+-1}: the even generators of X and
-    each odd generator times the first odd one g0 (g0^2 among them).
+    Their index in X divides the order of the subgroup those units
+    generate: 1 or 2 over Q, a divisor of q - 1 over F_q(T).
     """
-    even, odd = [], []
-    for chi in x.generators():
-        (even if characters.is_even(chi) else odd).append(chi)
-    out = characters.character_group(
-        x.ambient, even + [chi * odd[0] for chi in odd])
-    if x.order % out.order or x.order // out.order > 2:
-        raise RuntimeError("even part has impossible index")
+    amb = x.ambient
+    vecs = [amb.dlog(u) for u in amb.units_at_infinity()]
+    out = characters.CharacterGroup(amb, abelian.pairing_kernel(x.dual, vecs))
+    if abelian.subgroup_from_generators(amb.group, vecs).order \
+            % (x.order // out.order):
+        raise RuntimeError("plus part has impossible index")
     return out
 
 
 def genus_characters(x):
-    """Character group of the genus field: X joined with the even part of
+    """Character group of the genus field: X joined with the plus part of
     the extended genus group."""
     return characters.join(x, plus_part(extended_genus_characters(x)))
 
 
 def genus_gap(x):
-    """[geK : gK], always 1 or 2."""
-    return extended_genus_characters(x).order // genus_characters(x).order
+    """[geK : gK]: 1 or 2 over Q, a divisor of q - 1 over F_q(T)."""
+    extended = extended_genus_characters(x)
+    return extended.order // characters.join(x, plus_part(extended)).order
 
 
 def inflate_group(x, target_ambient):
@@ -246,33 +246,41 @@ class GenusReport:
     genus_degree_over_k: int
     extended_degree_over_k: int
     gap: int
-    prime_table: tuple  # ((prime label, e, tame, wild, component degree), ...)
+    primes: tuple  # ((prime, e, tame, wild, conductor exponent), ...)
     conductor: str
+
+    @property
+    def prime_table(self):
+        """((prime label, e, tame, wild, component degree), ...) for the
+        ramified primes.  The p-component of the extended genus group is
+        X_p, so its degree is e."""
+        return tuple((str(key), e, tame, wild, e)
+                     for key, e, tame, wild, _ in self.primes if e > 1)
 
 
 def build_report(x):
-    """Assemble the genus report for an abelian field given by X."""
+    """Assemble the genus report for an abelian field given by X, over Q
+    or F_q(T); `primes` has one row per prime of the modulus."""
+    amb = x.ambient
     extended = extended_genus_characters(x)
-    genus = genus_characters(x)
+    genus = characters.join(x, plus_part(extended))
     if extended.order % x.order or genus.order % x.order:
         raise RuntimeError("genus groups must contain X")
-    rows = []
     ram = characters.ramification_exponents(x)
-    comps = characters.component_decompose(extended)
-    for component in x.ambient.components():
-        key = component.key
-        if key not in ram:
-            continue
-        info = ram[key]
-        rows.append((str(key), info["e"], info["tame"], info["wild"],
-                     comps[key].order))
-    conductor = characters.conductor_of_group(extended)
+    # the extended group is the direct product of the components X_p
+    if prod(info["e"] for info in ram.values()) != extended.order:
+        raise RuntimeError("component degrees must multiply to the total")
+    exponents = characters.conductor_exponents(extended)
+    rows = []
+    for key, f in exponents.items():
+        info = ram.get(key, {"e": 1, "tame": 1, "wild": 1})
+        rows.append((key, info["e"], info["tame"], info["wild"], f))
     return GenusReport(
-        modulus=x.ambient.modulus_label(),
+        modulus=amb.modulus_label(),
         field_degree=x.order,
         genus_degree_over_k=genus.order // x.order,
         extended_degree_over_k=extended.order // x.order,
         gap=extended.order // genus.order,
-        prime_table=tuple(rows),
-        conductor=str(conductor),
+        primes=tuple(rows),
+        conductor=str(characters.conductor_from_exponents(amb, exponents)),
     )

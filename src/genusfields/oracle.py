@@ -82,7 +82,6 @@ def _value_tables(ambient):
     """For each prime component, the value tuple of every dual vector on
     the units congruent to 1 modulo the complementary part."""
     g = ambient.group
-    e = g.exponent
     duals = list(g.elements())
     tables = {}
     for component in ambient.components():
@@ -99,13 +98,8 @@ def _value_tables(ambient):
                 block = [u for u in ambient.residues()
                          if ((u - _ff_one(ambient)) % cof).is_zero]
         logs = [ambient.dlog(u) for u in block]
-        table = {}
-        for v in duals:
-            table[v] = tuple(
-                sum(b * x * (e // d)
-                    for b, x, d in zip(v, lg, g.invariant_factors)) % e
-                for lg in logs)
-        tables[component.key] = table
+        tables[component.key] = {
+            v: tuple(g.pairing(v, lg) for lg in logs) for v in duals}
     return tables
 
 
@@ -117,16 +111,8 @@ def _ff_one(ambient):
 def _parity_vector(ambient):
     """Value of each dual vector at -1 (numeric ambients only)."""
     g = ambient.group
-    e = g.exponent
-    if ambient.modulus <= 2:
-        lg = g.identity
-    else:
-        lg = ambient.dlog(ambient.minus_one)
-    out = {}
-    for v in g.elements():
-        out[v] = sum(b * x * (e // d)
-                     for b, x, d in zip(v, lg, g.invariant_factors)) % e
-    return out
+    lg = ambient.dlog(ambient.minus_one)
+    return {v: g.pairing(v, lg) for v in g.elements()}
 
 
 @lru_cache(maxsize=256)

@@ -284,10 +284,11 @@ def _identify_fixed_field(amb, h, m):
     if m == 0:
         return "Q"
     x = characters.CharacterGroup(
-        amb, _annihilator(amb.group, h))
+        amb, abelian.pairing_kernel(abelian.full_subgroup(amb.group),
+                                    h.lattice))
     if x.order != 1 << m:
         raise RuntimeError("annihilator order mismatch")
-    if all(characters.is_even(chi) for chi in x.characters()):
+    if genus_number.plus_part(x) == x:
         return f"Q(zeta_{1 << (m + 2)})^+"
     full_level = characters.full_dual(
         characters.numeric_ambient(1 << (m + 1)))
@@ -295,19 +296,6 @@ def _identify_fixed_field(amb, h, m):
     if x == inflated:
         return f"Q(zeta_{1 << (m + 1)})"
     return f"Q(zeta_{1 << (m + 2)})^-"
-
-
-def _annihilator(group, h):
-    """Dual subgroup of characters vanishing on the subgroup h."""
-    vecs = [vec for vec in group.elements()
-            if all(_pairing(group, vec, x) == 0 for x in h.elements())]
-    return abelian.subgroup_from_generators(group, vecs)
-
-
-def _pairing(group, chi_vec, x):
-    e = group.exponent
-    return sum(b * v * (e // d) for b, v, d in
-               zip(chi_vec, x, group.invariant_factors)) % e
 
 
 # ---------------------------------------------------------------------------

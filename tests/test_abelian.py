@@ -278,6 +278,39 @@ class TestNormalForms:
         assert prod(diag) == sub.index
 
 
+class TestPairingKernel:
+    @given(group_and_elements(count=4))
+    @settings(max_examples=200, deadline=None)
+    def test_against_element_filter(self, data):
+        g, els = data
+        sub = ab.subgroup_from_generators(g, els[:2])
+        vecs = els[2:]
+        e = g.exponent
+
+        def pairing(b, v):
+            return sum(x * y * (e // d)
+                       for x, y, d in zip(b, v, g.invariant_factors)) % e
+
+        keep = [b for b in sub.elements()
+                if all(pairing(b, v) == 0 for v in vecs)]
+        got = ab.pairing_kernel(sub, vecs)
+        assert got.elements() == set(keep)
+        assert got == ab.subgroup_from_generators(g, keep)
+        assert all(g.pairing(b, v) == pairing(b, v)
+                   for b in els for v in els)
+
+    def test_annihilator_and_edge_cases(self):
+        # the characters killing h: as many as the index of h
+        g = ab.FiniteAbelianGroup((2, 4, 8))
+        full = ab.full_subgroup(g)
+        h = ab.subgroup_from_generators(g, [(1, 1, 2), (0, 2, 4)])
+        assert ab.pairing_kernel(full, h.lattice).order == h.index
+        assert ab.pairing_kernel(full, []) == full
+        assert ab.pairing_kernel(full, [g.identity]) == full
+        triv = ab.full_subgroup(ab.TRIVIAL_GROUP)
+        assert ab.pairing_kernel(triv, [()]) == triv
+
+
 class TestOrderTwoJoinIdentity:
     """[S1 I meet S2 I : (S1 meet S2) I] divides |I| for order-2 I."""
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genusfields import abelian, characters, cli
+from genusfields import abelian, characters, cli, genus_number
 from genusfields.errors import SchemaError
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -304,6 +304,66 @@ def test_parser_is_built_once_and_reused(capsys):
     code, out = run_cli(["number", "--spec",
                          os.path.join(SCRIPTS, "trivial.toml"), "--json"])
     assert code == 0 and json.loads(out)["field_degree"] == 1
+
+
+def test_non_utf8_spec_is_a_schema_error(tmp_path):
+    doc = tmp_path / "latin1.toml"
+    doc.write_bytes(b'kind = "number-quadratic"\ndiscriminant = \xff\n')
+    with pytest.raises(SchemaError):
+        cli.load_document(str(doc))
+    code, out = run_cli(["number", "--spec", str(doc)])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("d", [10 ** 18 + 9, -(10 ** 6 + 3),
+                               # not fundamental, but refused by size first
+                               4 * 10 ** 6])
+def test_huge_discriminant_is_refused_before_factoring(monkeypatch, tmp_path,
+                                                        d):
+    def refuse(*args):
+        raise AssertionError("discriminant factored before the bound check")
+
+    monkeypatch.setattr(abelian, "factorize", refuse)
+    doc = tmp_path / "big.toml"
+    doc.write_text(f'kind = "number-quadratic"\ndiscriminant = {d}\n')
+    code, out = run_cli(["number", "--spec", str(doc)])
+    assert code == 3 and out == ""
+
+
+ABELIAN_SCRIPTS = [("number", "multi_prime"), ("number", "quad_minus5"),
+                   ("number", "sqrt3"), ("number", "trivial"),
+                   ("function", "cyclo_p"), ("function", "gap_ff"),
+                   ("function", "unramified_f4"), ("function", "wild_cyclo")]
+
+
+@pytest.mark.parametrize("command, name", ABELIAN_SCRIPTS)
+def test_one_extended_genus_computation_per_report(monkeypatch, command,
+                                                   name):
+    calls = []
+    extended = genus_number.extended_genus_characters
+
+    def counted(x):
+        calls.append(x)
+        return extended(x)
+
+    monkeypatch.setattr(genus_number, "extended_genus_characters", counted)
+    code, _ = run_cli([command, "--spec",
+                       os.path.join(SCRIPTS, name + ".toml"), "--json"])
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command, name", ABELIAN_SCRIPTS)
+def test_abelian_reports_do_not_enumerate_characters(monkeypatch, command,
+                                                     name):
+    def refuse(self):
+        raise AssertionError("character group enumerated")
+
+    monkeypatch.setattr(characters.CharacterGroup, "characters", refuse)
+    code, out = run_cli([command, "--spec",
+                         os.path.join(SCRIPTS, name + ".toml"), "--json"])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 def test_console_script_is_installed():

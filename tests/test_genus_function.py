@@ -1,11 +1,13 @@
 """Carlitz arithmetic, function-field genus groups, and the infinite prime."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusfields import abelian, characters as ch, fqpoly, genus_function as gf
+from genusfields import genus_number as gn
 from genusfields import oracle
 from genusfields.errors import BoundExceededError, PrecisionError, SchemaError
 
@@ -155,6 +157,32 @@ def test_genus_ff_index_divides_q_minus_one():
     y = gf.extended_genus_characters_ff(x)
     assert y.order % g.order == 0
     assert (x.ambient.field.q - 1) % (y.order // g.order) == 0
+
+
+def _constants_kernel_by_enumeration(x):
+    """Members of X trivial on every nonzero constant, evaluated one by one."""
+    fld = x.ambient.field
+    consts = [fqpoly.poly(fld, (c,)) for c in range(1, fld.q)]
+    keep = [chi for chi in x.characters()
+            if all(chi.value_exponent(c) == 0 for c in consts)]
+    return ch.character_group(x.ambient, keep)
+
+
+@pytest.mark.parametrize("p, s, size", [
+    (2, 1, 32), (3, 1, 27), (2, 2, 16), (5, 1, 25), (7, 1, 49),
+    (2, 3, 8), (3, 2, 9)])
+def test_plus_part_is_the_constants_kernel(p, s, size):
+    fld = fqpoly.fq_field(p, s)
+    rng = random.Random(p * 10 + s)
+    for fm in gf.all_factored_moduli(fld, size):
+        amb = ch.ff_ambient(fm)
+        els = list(amb.group.elements())
+        for x in (ch.full_dual(amb), ch.character_group(
+                amb, [ch.Character(amb, rng.choice(els)) for _ in range(2)])):
+            expected = _constants_kernel_by_enumeration(x)
+            assert gn.plus_part(x) == expected
+            assert gf.constants_kernel_part(x) == expected
+            assert gf.genus_characters_ff(x) == gn.genus_characters(x)
 
 
 def test_component_fields_examples():
