@@ -182,7 +182,9 @@ class FiniteAbelianGroup:
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
         if prod(facs, start=1) > ORDER_BOUND:
-            raise BoundExceededError("group order exceeds the desk-scale bound")
+            raise BoundExceededError(
+                f"group {self} of order {prod(facs)} exceeds the desk-scale "
+                f"bound {ORDER_BOUND}")
 
     @property
     def rank(self):
@@ -585,22 +587,26 @@ class UnitGroup:
             raise BoundExceededError(f"modulus {n} outside [2, {UNIT_GROUP_BOUND}]")
         self.modulus = n
         self.factorization = factorize(n)
+        self.idempotents = {}  # by prime: 1 mod p^a, 0 mod n / p^a
         raw_gens = []
         raw_orders = []
         self._component_slices = []
         for p, a in self.factorization:
-            q = p ** a
-            cof = n // q
+            cof = n // p ** a
+            self.idempotents[p] = cof * pow(cof, -1, p ** a) % n
             start = len(raw_gens)
             for g, order in _prime_power_generators(p, a):
-                lifted = _crt_pair(g, q, 1, cof) if cof > 1 else g % n
-                raw_gens.append(lifted)
+                raw_gens.append(self.lift(p, g))
                 raw_orders.append(order)
             self._component_slices.append((p, a, start, len(raw_gens)))
         self._raw_gens = raw_gens
         self._presentation = GeneratorPresentation(raw_orders)
         self.group = self._presentation.group
         self._dlog_tables = None
+
+    def lift(self, p, u):
+        """Residue mod n equal to u modulo p^a and to 1 modulo n / p^a."""
+        return (1 + (u - 1) * self.idempotents[p]) % self.modulus
 
     @property
     def order(self):
@@ -652,12 +658,6 @@ class UnitGroup:
         for g, e in zip(self._raw_gens, raw):
             out = out * pow(g, e, self.modulus) % self.modulus
         return out
-
-
-def _crt_pair(a1, m1, a2, m2):
-    """x mod m1*m2 with x = a1 (m1), x = a2 (m2); m1, m2 coprime."""
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
 
 
 @lru_cache(maxsize=512)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from types import MappingProxyType
 
 from . import abelian, fqpoly
 from .errors import AmbientMismatchError, SchemaError
@@ -33,25 +33,16 @@ class Component:
     ambient: object      # ambient for the prime-power block
 
 
-class NumericAmbient:
-    """The unit group (Z/nZ)* with CRT components and their 1-units."""
+class _UnitAmbient:
+    """What the two ambient kinds share: a unit group `units` with dlog,
+    exp and a table of CRT idempotents, and one cached matrix R_p per
+    component for the split of the dual into its p-components.
+    `residues` stays on each kind, where perfbench/tracing.py wraps it."""
 
-    kind = "number"
-
-    def __init__(self, n):
-        self.modulus = n
-        self.units = abelian.unit_group(n)
-        self.group = self.units.group
-        self.factorization = self.units.factorization
-
-    def __eq__(self, other):
-        return isinstance(other, NumericAmbient) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("NumericAmbient", self.modulus))
-
-    def __repr__(self):
-        return f"NumericAmbient({self.modulus})"
+    def __init__(self, units):
+        self.units = units
+        self.group = units.group
+        self._component_matrices = {}
 
     def dlog(self, u):
         return self.units.dlog(u)
@@ -62,6 +53,56 @@ class NumericAmbient:
     @property
     def generators(self):
         return self.units.generators
+
+    def project(self, component, u):
+        return u % component.ambient.modulus
+
+    def lift(self, component, u):
+        """Residue agreeing with u at the component and 1 elsewhere."""
+        return self.units.lift(component.key, u)
+
+    def component_matrix(self, component):
+        """R_p: the character b restricted to the component and inflated
+        back is b R_p, i.e. b composed with eps_p(u) = lift(project(u)).
+
+        Row j of M is dlog(eps_p(g_j)) on the canonical generators g_j,
+        and R_p[i][j] = M[j][i] d_j / d_i mod d_j: exact, because
+        eps_p(g_j) has order dividing d_j.  Built from rank(G) dlogs once
+        per component, then cached."""
+        r = self._component_matrices.get(component.key)
+        if r is None:
+            d = list(enumerate(self.group.invariant_factors))
+            m = [self.dlog(self.lift(component, self.project(component, g)))
+                 for g in self.generators]
+            if any(m[j][i] * dj % di for i, di in d for j, dj in d):
+                raise RuntimeError(
+                    "component value escaped the expected order")
+            r = self._component_matrices[component.key] = tuple(
+                tuple(m[j][i] * dj // di % dj for j, dj in d) for i, di in d)
+        return r
+
+    def modulus_label(self):
+        return str(self.modulus)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.modulus))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.modulus})"
+
+
+class NumericAmbient(_UnitAmbient):
+    """The unit group (Z/nZ)* with CRT components and their 1-units."""
+
+    kind = "number"
+
+    def __init__(self, n):
+        self.modulus = n
+        super().__init__(abelian.unit_group(n))
+        self.factorization = self.units.factorization
 
     def residues(self):
         return self.units.residues()
@@ -79,17 +120,6 @@ class NumericAmbient:
         return tuple(Component(p, numeric_ambient(p ** a))
                      for p, a in self.factorization)
 
-    def project(self, component, u):
-        return u % component.ambient.modulus
-
-    def lift(self, component, u):
-        """Residue mod n agreeing with u at the component and 1 elsewhere."""
-        q = component.ambient.modulus
-        cof = self.modulus // q
-        if cof == 1:
-            return u % self.modulus
-        return abelian._crt_pair(u % q, q, 1 % cof, cof)
-
     def one_units(self, component, b):
         """Residues mod n generating the units = 1 mod p^b at the
         component and = 1 at the other components."""
@@ -106,11 +136,8 @@ class NumericAmbient:
             return list(self.residues())
         return [u for u in self.residues() if u % m == 1]
 
-    def modulus_label(self):
-        return str(self.modulus)
 
-
-class FunctionFieldAmbient:
+class FunctionFieldAmbient(_UnitAmbient):
     """The unit group (F_q[T]/<N>)* with the same surface as the numeric one."""
 
     kind = "function"
@@ -119,29 +146,7 @@ class FunctionFieldAmbient:
         self.factored = factored_n
         self.field = factored_n.field
         self.modulus = factored_n.modulus
-        self.units = fqpoly.unit_group_mod(factored_n)
-        self.group = self.units.group
-
-    def __eq__(self, other):
-        return (isinstance(other, FunctionFieldAmbient)
-                and self.field == other.field
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash(("FunctionFieldAmbient", self.field, self.modulus))
-
-    def __repr__(self):
-        return f"FunctionFieldAmbient({self.modulus})"
-
-    def dlog(self, u):
-        return self.units.dlog(u)
-
-    def exp(self, vec):
-        return self.units.exp(vec)
-
-    @property
-    def generators(self):
-        return self.units.generators
+        super().__init__(fqpoly.unit_group_mod(factored_n))
 
     def residues(self):
         return self.units.residues()
@@ -150,19 +155,6 @@ class FunctionFieldAmbient:
         return tuple(
             Component(p_, ff_ambient(fqpoly.factored(self.field, [(p_, a)])))
             for p_, a in self.factored.factors)
-
-    def project(self, component, u):
-        return u % component.ambient.modulus
-
-    def lift(self, component, u):
-        target = component.ambient.modulus
-        cof = self.modulus // target
-        if cof.degree == 0:
-            return u % self.modulus
-        inv = fqpoly._poly_inverse(cof % target, target)
-        idem = cof * inv
-        return (fqpoly.one(self.field)
-                + (u - fqpoly.one(self.field)) * idem) % self.modulus
 
     def units_at_infinity(self):
         """Generators of the image of the units at the infinite prime: the
@@ -184,11 +176,8 @@ class FunctionFieldAmbient:
         else:
             fld = self.field
             one = fqpoly.one(fld)
-            powers = [one]  # P^k for k < a
-            while len(powers) < a:
-                powers.append(powers[-1] * p_)
             gens = [one + fqpoly.poly(fld, (0,) * j + (fld.p ** i,)) * pk
-                    for pk in powers[b:]
+                    for pk in [p_ ** k for k in range(b, a)]
                     for j in range(p_.degree) for i in range(fld.s)]
         return tuple(self.lift(component, g) for g in gens)
 
@@ -198,9 +187,6 @@ class FunctionFieldAmbient:
             return list(self.residues())
         return [u for u in self.residues()
                 if ((u - fqpoly.one(self.field)) % m).is_zero]
-
-    def modulus_label(self):
-        return str(self.modulus)
 
 
 @lru_cache(maxsize=512)
@@ -497,10 +483,26 @@ def component_decompose(x):
     return out
 
 
+@lru_cache(maxsize=64)
+def component_split(x):
+    """The p-components X_p seen inside the full dual, one per prime key of
+    the modulus: X_p is generated by the lattice rows of X times R_p
+    (`component_matrix`), the same group as inflating {chi_p : chi in X}.
+    Cached per X, so one report splits X once; the mapping is read-only."""
+    amb = x.ambient
+    d = amb.group.invariant_factors
+    out = {}
+    for component in amb.components():
+        r = amb.component_matrix(component)
+        rows = [[sum(b * r[i][j] for i, b in enumerate(row)) % dj
+                 for j, dj in enumerate(d)] for row in x.dual.lattice]
+        out[component.key] = abelian.subgroup_from_generators(amb.group, rows)
+    return MappingProxyType(out)
+
+
 def component_order(x, component):
-    """|X_p| for one component, without building the full decomposition."""
-    comps = [restrict_to_component(chi, component) for chi in x.generators()]
-    return character_group(component.ambient, comps).order
+    """|X_p| for one component."""
+    return component_split(x)[component.key].order
 
 
 def ramification_exponents(x):
@@ -547,8 +549,7 @@ def conductor_from_exponents(amb, exponents):
     """The modulus prod key^f for a map {key: f}."""
     out = amb.exp(amb.group.identity)  # the unit 1
     for key, f in exponents.items():
-        for _ in range(f):
-            out = out * key
+        out = out * key ** f
     return out
 
 

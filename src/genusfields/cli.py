@@ -6,7 +6,7 @@ suites.  Reports are deterministic: identical inputs produce byte
 identical output, both in the fixed-width human form and with `--json`.
 
 Exit codes: 0 success, 1 selftest failure, 2 schema violation, 3 bound
-exceeded, 4 insufficient precision (level too small).
+exceeded, 4 insufficient precision (level too small), 5 internal error.
 """
 
 from __future__ import annotations
@@ -150,6 +150,14 @@ def _need(doc, key, types, where="document"):
     return value
 
 
+def _int_array(value, where):
+    """`value` if it is a list of integers; bools (ints to Python) fail."""
+    if not isinstance(value, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in value):
+        raise SchemaError(f"{where}: expected an array of integers")
+    return value
+
+
 def _field_from_doc(doc):
     q = _need(doc, "q", int)
     if q > fqpoly.FIELD_SIZE_BOUND:
@@ -163,9 +171,7 @@ def _field_from_doc(doc):
 
 
 def _poly_from_doc(fld, coeffs, where):
-    if not isinstance(coeffs, list) or not all(
-            isinstance(c, int) for c in coeffs):
-        raise SchemaError(f"{where}: expected an integer coefficient array")
+    _int_array(coeffs, where)
     if any(c < 0 or c >= fld.q for c in coeffs):
         raise SchemaError(f"{where}: coefficients must lie in 0..{fld.q - 1}")
     return fqpoly.poly(fld, tuple(coeffs))
@@ -179,10 +185,7 @@ def _character_group_from_doc(amb, doc):
         raise SchemaError("'characters' must be an array of exponent vectors")
     chars = []
     for vec in vectors:
-        if not isinstance(vec, list) or not all(
-                isinstance(e, int) for e in vec):
-            raise SchemaError("character exponent vectors must be integer "
-                              "arrays")
+        _int_array(vec, "characters")
         if len(vec) != amb.group.rank:
             raise SchemaError(
                 f"character vector {vec} has length {len(vec)}, expected "
@@ -284,9 +287,7 @@ def _abelian_payload(doc, amb, x):
 
 def _subgroup_from_residues(units, residues, where):
     vecs = []
-    for r in residues:
-        if not isinstance(r, int):
-            raise SchemaError(f"{where}: residues must be integers")
+    for r in _int_array(residues, where):
         try:
             vecs.append(units.dlog(r))
         except (ValueError, KeyError) as exc:
@@ -373,9 +374,7 @@ def _local_function_payload(doc, bound, level_flag):
                                       "array or \"full\"")
                 elements = []
                 for vec in gens:
-                    if not isinstance(vec, list) \
-                            or len(vec) != max(n_max, 1) \
-                            or not all(isinstance(c, int) for c in vec):
+                    if len(_int_array(vec, where)) != max(n_max, 1):
                         raise SchemaError(
                             f"{where}: each norm generator is "
                             f"[c, a_1, ..., a_{n_max - 1}]")
@@ -566,6 +565,11 @@ def main(argv=None):
     except GenusError as exc:
         print(f"genusctl: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a failed internal invariant: not exit 1, a selftest failure
+        print(f"genusctl: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -334,6 +334,17 @@ class FqPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def __pow__(self, e):
+        """self^e for an integer e >= 0, by repeated squaring."""
+        out, base = one(self.field), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
@@ -462,8 +473,7 @@ class FactoredModulus:
             if p_.code() in seen:
                 raise SchemaError(f"repeated factor {p_}")
             seen.add(p_.code())
-            for _ in range(a):
-                n = n * p_
+            n = n * p_ ** a
         if n != self.modulus:
             raise SchemaError("factorization does not reconstruct the modulus")
 
@@ -484,8 +494,7 @@ def factored(fld, pairs):
                          key=lambda t: (t[0].degree, t[0].code())))
     n = one(fld)
     for p_, a in pairs:
-        for _ in range(a):
-            n = n * p_
+        n = n * p_ ** a
     return FactoredModulus(fld, pairs, n)
 
 
@@ -497,8 +506,10 @@ def factor_modulus(n):
     """
     if n.degree < 1:
         raise SchemaError("modulus must have positive degree")
-    if n.field.q ** n.degree > 2 ** 24:
-        raise BoundExceededError("modulus degree exceeds the factorization bound")
+    size, bound = n.field.q ** n.degree, 2 ** 24
+    if size > bound:
+        raise BoundExceededError(f"F_{n.field.q}[T]/({n}) of size {size} "
+                                 f"exceeds the factorization bound {bound}")
     work = n.monic()
     pairs = []
     d = 1
@@ -532,12 +543,12 @@ class _PrimePowerUnits:
         self.exponent = a
         fld = p_poly.field
         self.field = fld
-        self.modulus = p_poly
-        for _ in range(a - 1):
-            self.modulus = self.modulus * p_poly
+        self.modulus = p_poly ** a
         size = fld.q ** self.modulus.degree
         if size > UNIT_ENUMERATION_BOUND:
-            raise BoundExceededError("residue ring too large to enumerate")
+            raise BoundExceededError(
+                f"F_{fld.q}[T]/({self.modulus}) of size {size} exceeds the "
+                f"enumeration bound {UNIT_ENUMERATION_BOUND}")
         units = []
         for code in range(size):
             r = poly_from_code(fld, code)
@@ -573,40 +584,30 @@ class UnitGroupModN:
         self.factored = factored_n
         self.field = factored_n.field
         self.modulus = factored_n.modulus
-        if self.field.q ** self.modulus.degree > UNIT_ENUMERATION_BOUND:
-            raise BoundExceededError("modulus too large for unit enumeration")
+        size = self.field.q ** self.modulus.degree
+        if size > UNIT_ENUMERATION_BOUND:
+            raise BoundExceededError(
+                f"F_{self.field.q}[T]/({self.modulus}) of size {size} exceeds "
+                f"the enumeration bound {UNIT_ENUMERATION_BOUND}")
         self.crt_components = tuple(_prime_power_units(p_, a)
                                     for p_, a in factored_n.factors)
+        self.idempotents = crt_idempotents(factored_n)
         raw_gens = []
         raw_orders = []
-        self._slices = []
         for comp in self.crt_components:
-            start = len(raw_gens)
-            lift = self._crt_lift_factory(comp)
-            for g in comp.raw_generators:
-                raw_gens.append(lift(poly_from_code(self.field, g)))
+            raw_gens.extend(
+                self.lift(comp.prime, poly_from_code(self.field, g))
+                for g in comp.raw_generators)
             raw_orders.extend(comp.raw_orders)
-            self._slices.append((comp, start, len(raw_gens)))
         self._raw_gens = raw_gens
         self._presentation = abelian.GeneratorPresentation(raw_orders)
         self.group = self._presentation.group
         assert self.group.order == factored_n.unit_order()
 
-    def _crt_lift_factory(self, comp):
-        """Map a residue mod comp.modulus to one mod N that is 1 elsewhere."""
-        others = one(self.field)
-        for c in self.crt_components:
-            if c is not comp:
-                others = others * c.modulus
-        # invert the cofactor modulo the component modulus
-        inv = _poly_inverse(others % comp.modulus, comp.modulus)
-        idem = others * inv  # = 1 mod comp.modulus, 0 mod the rest
-
-        def lift(residue):
-            return (one(self.field) + (residue - one(self.field)) * idem) \
-                % self.modulus
-
-        return lift
+    def lift(self, prime, residue):
+        """Residue mod N equal to `residue` at the prime and 1 elsewhere."""
+        u1 = one(self.field)
+        return (u1 + (residue - u1) * self.idempotents[prime]) % self.modulus
 
     @property
     def order(self):
@@ -622,7 +623,7 @@ class UnitGroupModN:
     def dlog(self, residue):
         """Exponent vector of a unit on the canonical generators."""
         raw = []
-        for comp, start, stop in self._slices:
+        for comp in self.crt_components:
             raw.extend(comp.dlog_raw(residue))
         return self._presentation.to_canonical(raw)
 
@@ -639,6 +640,18 @@ class UnitGroupModN:
         return tuple(self.exp(tuple(1 if j == i else 0
                                     for j in range(self.group.rank)))
                      for i in range(self.group.rank))
+
+
+def crt_idempotents(factored_n):
+    """The CRT idempotents of N, keyed by prime P: 1 modulo the power of P
+    in N, 0 modulo the rest."""
+    n = factored_n.modulus
+    out = {}
+    for p_, a in factored_n.factors:
+        pa = p_ ** a
+        cof = n // pa
+        out[p_] = cof * _poly_inverse(cof % pa, pa) % n
+    return out
 
 
 def _poly_inverse(a, modulus):

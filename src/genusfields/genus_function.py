@@ -90,7 +90,7 @@ class CarlitzOperator:
         power = x
         for i, a in enumerate(self.coeffs):
             if i:
-                power = _pow_poly(power, self.field.q)
+                power = power ** self.field.q
             if not a.is_zero:
                 out = out + a * power
         return out
@@ -102,17 +102,6 @@ class CarlitzOperator:
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
-
-
-def _pow_poly(f, e):
-    out = fqpoly.one(f.field)
-    base = f
-    while e:
-        if e & 1:
-            out = out * base
-        base = base * base
-        e >>= 1
-    return out
 
 
 def _same(a, b):
@@ -160,7 +149,9 @@ def torsion_order_check(n):
         raise SchemaError("torsion of the zero polynomial is undefined")
     q = n.field.q
     if q ** n.degree > 2 ** 24:
-        raise BoundExceededError("torsion count exceeds the desk bound")
+        raise BoundExceededError(
+            f"Carlitz torsion of a degree-{n.degree} modulus over F_{q} of "
+            f"size {q ** n.degree} exceeds the desk bound {2 ** 24}")
     op = carlitz_operator(n)
     if op.linear_degree != n.degree:
         raise RuntimeError("operator degree mismatch")
@@ -186,28 +177,21 @@ def idele_quotient_check(factored_n, rng_seed=0):
     fld = factored_n.field
     n = factored_n.modulus
     if fld.q ** n.degree > 2 ** 13:
-        raise BoundExceededError("modulus too large for the elementwise check")
+        raise BoundExceededError(
+            f"F_{fld.q}[T]/({n}) of size {fld.q ** n.degree} exceeds the "
+            f"elementwise-check bound {2 ** 13}")
     factors = factored_n.factors
     if not factors:
         return True
-    blocks = []
-    for p_, a in factors:
-        pa = _pow_poly(p_, a)
-        blocks.append((p_, a, pa))
+    blocks = [(p_, a, p_ ** a) for p_, a in factors]
     # CRT idempotents: e_i = 1 at block i, 0 elsewhere
-    idems = []
-    for p_, a, pa in blocks:
-        cof = n // pa
-        if cof.degree == 0:
-            idem = fqpoly.one(fld)
-        else:
-            idem = cof * fqpoly._poly_inverse(cof % pa, pa) % n
+    idems = list(fqpoly.crt_idempotents(factored_n).values())
+    for (p_, a, pa), idem in zip(blocks, idems):
         if not ((idem - fqpoly.one(fld)) % pa).is_zero:
             raise RuntimeError("idempotent is not 1 on its own block")
         for q_, b, qb in blocks:
             if q_ != p_ and not (idem % qb).is_zero:
                 raise RuntimeError("idempotent does not vanish off its block")
-        idems.append(idem)
     acc = idems[0]
     for idem in idems[1:]:
         acc = acc + idem
@@ -253,10 +237,7 @@ def idele_quotient_check(factored_n, rng_seed=0):
     samples = [tuple(rng.randrange(len(b[3])) for b in blocks)
                for _ in range(min(8, expected))]
     for pick in samples:
-        r = fqpoly.FqPoly(fld)
-        for (p_, a, pa, units), idem, i in zip(blocks, idems, pick):
-            r = r + idem * units[i]
-        r = r % n
+        r = _crt_combine(fld, n, blocks, idems, pick)
         for (p_, a, pa, units), i in zip(blocks, pick):
             if not ((r - units[i]) % pa).is_zero:
                 return False
@@ -463,7 +444,9 @@ class InfinityUnits:
             raise SchemaError("n_max must be at least 1")
         size = (fld.q - 1) * fld.q ** (n_max - 1)
         if size > 2 ** 12:
-            raise BoundExceededError("infinite-prime quotient too large")
+            raise BoundExceededError(
+                f"infinite-prime quotient F_{fld.q}* x U^(1)/U^({n_max}) of "
+                f"size {size} exceeds the bound {2 ** 12}")
         self.field = fld
         self.n_max = n_max
         self.identity = (1, (0,) * (n_max - 1))

@@ -24,14 +24,10 @@ from .errors import AmbientMismatchError, PrecisionError, SchemaError
 
 def extended_genus_characters(x):
     """Character group of the extended genus field: the product of the
-    p-components of X, inflated back to the full modulus."""
-    amb = x.ambient
-    gens = []
-    for component in amb.components():
-        for chi in x.generators():
-            psi = characters.restrict_to_component(chi, component)
-            gens.append(characters.inflate_from_component(psi, amb, component))
-    return characters.character_group(amb, gens)
+    p-components X_p of X inside the full dual."""
+    split = characters.component_split(x)
+    return characters.CharacterGroup(x.ambient,
+                                     reduce(abelian.product, split.values()))
 
 
 def plus_part(x):

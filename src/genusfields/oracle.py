@@ -27,18 +27,15 @@ def _cyclic_closure(group, x):
     return frozenset(out)
 
 
-def _join_sets(group, a, b):
-    """Subgroup generated by the union of two subgroup element sets."""
-    gens = list(a | b)
-    out = set(a | b)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.add(x, g)
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
+def _join_sets(group, s, x):
+    """Subgroup generated by the subgroup element set s and the element x:
+    the union of the cosets s + kx, k = 0, 1, ..., until kx falls in s and
+    the cosets start to repeat."""
+    out = set(s)
+    t = x
+    while t not in s:
+        out.update(group.add(y, t) for y in s)
+        t = group.add(t, x)
     return frozenset(out)
 
 
@@ -46,19 +43,24 @@ def enumerate_subgroups(group):
     """All subgroups of a finite abelian group, as frozensets of elements.
 
     Join-closure of the cyclic subgroups; every subgroup is a join of
-    cyclic ones, so the closure is the full lattice.
+    cyclic ones, so the closure is the full lattice.  Each cyclic subgroup
+    keeps its first generator, and joins go coset by coset of it.
     """
     if group.order > SUBGROUP_ENUMERATION_BOUND:
-        raise BoundExceededError("group too large for subgroup enumeration")
-    cyclics = {_cyclic_closure(group, x) for x in group.elements()}
+        raise BoundExceededError(
+            f"group {group} of order {group.order} exceeds the subgroup "
+            f"enumeration bound {SUBGROUP_ENUMERATION_BOUND}")
+    cyclics = {}
+    for x in group.elements():
+        cyclics.setdefault(_cyclic_closure(group, x), x)
     subgroups = set(cyclics)
     frontier = list(cyclics)
     while frontier:
         s = frontier.pop()
-        for c in cyclics:
-            if c <= s:
+        for x in cyclics.values():
+            if x in s:
                 continue
-            j = _join_sets(group, s, c)
+            j = _join_sets(group, s, x)
             if j not in subgroups:
                 subgroups.add(j)
                 frontier.append(j)

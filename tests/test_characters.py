@@ -169,6 +169,102 @@ def test_component_decomposition_multiplies_orders(n):
     assert total == full.order
 
 
+def _split_ambients():
+    """Every numeric ambient mod n <= 300, and every F_q[T] ambient with
+    q in {2, 3, 4} and q^deg <= 64."""
+    out = [ch.numeric_ambient(n) for n in range(2, 301)]
+    for q in (2, 3, 4):
+        p, s = abelian.factorize(q)[0]
+        fld = fqpoly.fq_field(p, s)
+        degree = 1
+        while q ** degree <= 64:
+            out += [ch.ff_ambient(fqpoly.factor_modulus(n))
+                    for n in fqpoly.monic_polys(fld, degree)]
+            degree += 1
+    return out
+
+
+def _mat_mul(a, b, d):
+    """a b on row vectors of the dual, column j reduced mod d_j."""
+    k = len(d)
+    return tuple(tuple(sum(a[i][m] * b[m][j] for m in range(k)) % d[j]
+                       for j in range(k)) for i in range(k))
+
+
+def test_component_matrices_are_orthogonal_idempotents():
+    for amb in _split_ambients():
+        d = amb.group.invariant_factors
+        k = len(d)
+        mats = [amb.component_matrix(c) for c in amb.components()]
+        total = [[sum(r[i][j] for r in mats) % d[j] for j in range(k)]
+                 for i in range(k)]
+        assert total == [[(i == j) % d[j] for j in range(k)]
+                         for i in range(k)], amb
+        zero = tuple(tuple(0 for _ in d) for _ in d)
+        for a, ra in enumerate(mats):
+            for b, rb in enumerate(mats):
+                assert _mat_mul(ra, rb, d) == (ra if a == b else zero), amb
+
+
+@st.composite
+def _ambient_and_group(draw):
+    q = draw(st.sampled_from([None, 2, 3, 4]))
+    if q is None:
+        amb = ch.numeric_ambient(draw(st.integers(2, 400)))
+    else:
+        degree = draw(st.integers(1, {2: 6, 3: 3, 4: 3}[q]))
+        coeffs = draw(st.lists(st.integers(0, q - 1), min_size=degree,
+                               max_size=degree))
+        amb = _ff_ambient(q, tuple(coeffs) + (1,))
+    d = amb.group.invariant_factors
+    vecs = draw(st.lists(st.tuples(*(st.integers(0, f - 1) for f in d)),
+                         max_size=3))
+    return amb, ch.character_group(amb, [ch.Character(amb, v) for v in vecs])
+
+
+@given(_ambient_and_group())
+@settings(max_examples=150, deadline=None)
+def test_component_split_matches_restrict_then_inflate(data):
+    amb, x = data
+    split = ch.component_split(x)
+    assert list(split) == [c.key for c in amb.components()]
+    for component in amb.components():
+        reference = ch.character_group(amb, [
+            ch.inflate_from_component(ch.restrict_to_component(chi, component),
+                                      amb, component)
+            for chi in x.generators()])
+        assert split[component.key] == reference.dual
+        assert (ch.component_order(x, component)
+                == ch.component_decompose(x)[component.key].order)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ch.NumericAmbient(2 ** 4 * 3 ** 2 * 5 * 7),
+    lambda: ch.FunctionFieldAmbient(fqpoly.factor_modulus(
+        fqpoly.poly(fqpoly.fq_field(3), (0, 1, 0, 2, 0, 1))))],
+    ids=["numeric", "function"])
+def test_component_split_dlogs_once_per_generator_and_prime(monkeypatch,
+                                                            make):
+    calls = []
+    for owner in (abelian.UnitGroup, fqpoly.UnitGroupModN):
+        dlog = owner.dlog
+
+        def counted(self, u, dlog=dlog):
+            calls.append(u)
+            return dlog(self, u)
+
+        monkeypatch.setattr(owner, "dlog", counted)
+    ch.component_split.cache_clear()
+    amb = make()  # a new instance: no component matrix cached yet
+    x = ch.full_dual(amb)
+    ch.component_split(x)
+    assert 0 < len(calls) <= amb.group.rank * len(amb.components())
+    calls.clear()
+    gens = [ch.Character(amb, amb.group.reduce((1,) * amb.group.rank))]
+    ch.component_split(ch.character_group(amb, gens))
+    assert calls == []
+
+
 def test_inflation_preserves_values():
     small = ch.numeric_ambient(5)
     big = ch.numeric_ambient(40)

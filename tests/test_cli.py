@@ -212,6 +212,42 @@ def test_exit_code_precision(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, text", [
+    ("function", 'kind = "function-abelian"\nq = 2\nmodulus = [{}, 0, 1]\n'
+                 "characters = []\n"),
+    ("number", 'kind = "number-abelian"\nmodulus = 120\n'
+               "characters = [[{}, 0, 0, 0]]\n"),
+    ("number", 'kind = "number-local"\np = 2\nlevel = 4\n'
+               "[[primes]]\ne = 4\nf = 1\nnorm_residues = [{}]\n"),
+    ("function", 'kind = "function-local"\nq = 2\nn_max = 3\n'
+                 "[[primes]]\ne = 2\nt = 1\nnorm_generators = [[{}, 0, 1]]\n"),
+], ids=["modulus", "characters", "norm_residues", "norm_generators"])
+def test_booleans_in_integer_arrays_are_refused(tmp_path, command, text):
+    doc = tmp_path / "doc.toml"
+    doc.write_text(text.format(1))
+    assert run_cli([command, "--spec", str(doc)])[0] == 0
+    doc.write_text(text.format("true"))
+    assert run_cli([command, "--spec", str(doc)]) == (2, "")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("invariant broken"),
+                                   KeyError("missing")],
+                         ids=["RuntimeError", "KeyError"])
+def test_internal_error_exits_5_without_traceback(monkeypatch, capsys,
+                                                  error):
+    def fail(x):
+        raise error
+
+    monkeypatch.setattr(genus_number, "build_report", fail)
+    code, out = run_cli(["number", "--spec",
+                         os.path.join(SCRIPTS, "multi_prime.toml")])
+    err = capsys.readouterr().err
+    assert code == 5 and out == ""
+    assert err == (f"genusctl: internal error: {type(error).__name__}: "
+                   f"{error}\n")
+    assert "Traceback" not in err
+
+
 def test_level_flag_must_match_document():
     code, _ = run_cli(["number", "--spec",
                        os.path.join(SCRIPTS, "local_two.toml"),
@@ -350,6 +386,31 @@ def test_one_extended_genus_computation_per_report(monkeypatch, command,
     code, _ = run_cli([command, "--spec",
                        os.path.join(SCRIPTS, name + ".toml"), "--json"])
     assert code == 0 and len(calls) == 1
+
+
+def test_report_splits_x_once_without_restriction(monkeypatch):
+    # multi_prime: 3 generators of X over 3 primes; the restriction pass
+    # made 18 restrict_to_component calls per report
+    calls = {"restrict": 0, "matrix": 0}
+    restrict = characters.restrict_to_component
+    matrix = characters.NumericAmbient.component_matrix
+
+    def counted_restrict(chi, component):
+        calls["restrict"] += 1
+        return restrict(chi, component)
+
+    def counted_matrix(self, component):
+        calls["matrix"] += 1
+        return matrix(self, component)
+
+    monkeypatch.setattr(characters, "restrict_to_component", counted_restrict)
+    monkeypatch.setattr(characters.NumericAmbient, "component_matrix",
+                        counted_matrix)
+    characters.component_split.cache_clear()
+    code, _ = run_cli(["number", "--spec",
+                       os.path.join(SCRIPTS, "multi_prime.toml"), "--json"])
+    assert code == 0
+    assert calls == {"restrict": 0, "matrix": 3}
 
 
 @pytest.mark.parametrize("command, name", ABELIAN_SCRIPTS)

@@ -284,6 +284,33 @@ def test_infinity_units_bound():
         gf.InfinityUnits(F2, 14)
 
 
+_T2 = fqpoly.variable(F2)
+_T2_25 = fqpoly.poly(F2, (0,) * 25 + (1,))
+
+
+@pytest.mark.parametrize("build, size, bound", [
+    (lambda: oracle.enumerate_subgroups(
+        abelian.group_from_cyclic_orders([2] * 13)), 2 ** 13, 2 ** 12),
+    (lambda: abelian.FiniteAbelianGroup((2 ** 32, 2 ** 32)), 2 ** 64,
+     abelian.ORDER_BOUND),
+    (lambda: fqpoly.factor_modulus(_T2_25), 2 ** 25, 2 ** 24),
+    (lambda: fqpoly._PrimePowerUnits(_T2, 21), 2 ** 21, 2 ** 20),
+    (lambda: fqpoly.unit_group_mod(fqpoly.factored(F2, [(_T2, 21)])),
+     2 ** 21, 2 ** 20),
+    (lambda: gf.torsion_order_check(_T2_25), 2 ** 25, 2 ** 24),
+    (lambda: gf.idele_quotient_check(fqpoly.factored(F2, [(_T2, 14)])),
+     2 ** 14, 2 ** 13),
+    (lambda: gf.InfinityUnits(F2, 14), 2 ** 13, 2 ** 12),
+], ids=["enumerate_subgroups", "FiniteAbelianGroup", "factor_modulus",
+        "_PrimePowerUnits", "UnitGroupModN", "torsion_order_check",
+        "idele_quotient_check", "InfinityUnits"])
+def test_bound_messages_name_size_and_bound(build, size, bound):
+    with pytest.raises(BoundExceededError) as exc:
+        build()
+    words = str(exc.value).replace(",", " ").replace(")", " ").split()
+    assert str(size) in words and str(bound) in words
+
+
 def test_s_field_split_infinity():
     inf = gf.InfinityUnits(F2, 3)
     data = gf.InfinitePrimeData(

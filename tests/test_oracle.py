@@ -35,6 +35,48 @@ def test_enumerated_sets_are_subgroups():
         assert g.order % len(s) == 0
 
 
+def _bfs_join(group, a, b):
+    """The join of two subgroup element sets by breadth-first closure
+    under adding every element of a | b: the reference for the coset
+    join."""
+    gens = list(a | b)
+    out = set(a | b)
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.add(x, g)
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return frozenset(out)
+
+
+def _bfs_subgroups(group):
+    cyclics = {oracle._cyclic_closure(group, x) for x in group.elements()}
+    subgroups = set(cyclics)
+    frontier = list(cyclics)
+    while frontier:
+        s = frontier.pop()
+        for c in cyclics:
+            if c <= s:
+                continue
+            j = _bfs_join(group, s, c)
+            if j not in subgroups:
+                subgroups.add(j)
+                frontier.append(j)
+    return subgroups
+
+
+@pytest.mark.parametrize("group", [
+    ch.numeric_ambient(n).group for n in range(2, 101)] + [
+    abelian.FiniteAbelianGroup(t) for t in
+    ((2, 2, 4), (4, 8), (2, 4, 8), (2, 2, 2, 4), (8, 8), (2, 6, 12))],
+    ids=str)
+def test_coset_join_enumerates_the_bfs_lattice(group):
+    assert oracle.enumerate_subgroups(group) == _bfs_subgroups(group)
+
+
 def test_enumeration_bound():
     g = abelian.group_from_cyclic_orders([2] * 13)
     with pytest.raises(BoundExceededError):
