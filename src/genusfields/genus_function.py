@@ -29,17 +29,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 # Carlitz module
 
-def _poly_frobenius(a, power=1):
-    """a(T) -> a(T)^(q^power) in F_q[T]: exponents stretch by q^power."""
-    if a.is_zero:
-        return a
-    stretch = a.field.q ** power
-    out = [0] * (a.degree * stretch + 1)
-    for i, c in enumerate(a.coeffs):
-        out[i * stretch] = c
-    return fqpoly.FqPoly(a.field, tuple(out))
-
-
 @dataclass(frozen=True)
 class CarlitzOperator:
     """An F_q-linear (additive) polynomial sum coeffs[i] * x^(q^i), with
@@ -70,19 +59,20 @@ class CarlitzOperator:
         return CarlitzOperator(self.field, tuple(out))
 
     def compose(self, other):
-        """self(other(x)) as an additive polynomial."""
+        """self(other(x)) as an additive polynomial: a x^(q^i) after
+        b x^(q^j) is a b(T^(q^i)) x^(q^(i+j))."""
         _same(self, other)
-        zero = fqpoly.FqPoly(self.field)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1) \
+        fld = self.field
+        k = fld.kernel
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) \
             if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
             for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * _poly_frobenius(b, i)
-        return CarlitzOperator(self.field, tuple(out))
+                stretched = k.frobenius(fqpoly.packed(b), fld.q ** i)
+                out[i + j] = k.add(out[i + j],
+                                   k.mul(fqpoly.packed(a), stretched))
+        return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, x)
+                                          for x in out))
 
     def evaluate(self, x):
         """Value at a polynomial argument."""
@@ -120,22 +110,24 @@ def carlitz_t(fld):
 
 def carlitz_operator(m):
     """C_M for M in F_q[T]: F_q-linear in M and multiplicative under
-    composition, generated from C_T(x) = Tx + x^q."""
+    composition, generated from C_T(x) = Tx + x^q.
+
+    Coefficient j of C_(T^(i+1)) = C_T o C_(T^i) is T a_ij + a_i,j-1(T^q),
+    on kernel integers."""
     fld = m.field
-    zero = CarlitzOperator(fld, ())
-    if m.is_zero:
-        return zero
-    powers = [carlitz_identity(fld)]
-    ct = carlitz_t(fld)
-    for _ in range(m.degree):
-        powers.append(ct.compose(powers[-1]))
-    out = zero
-    for j, c in enumerate(m.coeffs):
+    k = fld.kernel
+    row = [1]
+    out = [0] * (m.degree + 1)
+    for i, c in enumerate(m.coeffs):
+        if i:
+            row = [k.add(a << k.group, k.frobenius(b, fld.q))
+                   for a, b in zip(row + [0], [0] + row)]
         if c:
-            scaled = CarlitzOperator(
-                fld, tuple(a.scale(c) for a in powers[j].coeffs))
-            out = out + scaled
-    return out
+            c = k.pack((c,))
+            for j, a in enumerate(row):
+                out[j] = k.add(out[j], k.mul(c, a))
+    return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, a)
+                                      for a in out))
 
 
 def torsion_order_check(n):
@@ -183,161 +175,55 @@ def idele_quotient_check(factored_n, rng_seed=0):
     factors = factored_n.factors
     if not factors:
         return True
-    blocks = [(p_, a, p_ ** a) for p_, a in factors]
+    k, n_k = fld.kernel, fqpoly.packed(n)
+    blocks = [(p_, p_ ** a) for p_, a in factors]
+    moduli = [fqpoly.packed(pa) for _, pa in blocks]
     # CRT idempotents: e_i = 1 at block i, 0 elsewhere
-    idems = list(fqpoly.crt_idempotents(factored_n).values())
-    for (p_, a, pa), idem in zip(blocks, idems):
-        if not ((idem - fqpoly.one(fld)) % pa).is_zero:
+    idems = [fqpoly.packed(e)
+             for e in fqpoly.crt_idempotents(factored_n).values()]
+    for m, idem in zip(moduli, idems):
+        if k.mod(idem, m) != 1:
             raise RuntimeError("idempotent is not 1 on its own block")
-        for q_, b, qb in blocks:
-            if q_ != p_ and not (idem % qb).is_zero:
-                raise RuntimeError("idempotent does not vanish off its block")
-    acc = idems[0]
-    for idem in idems[1:]:
-        acc = acc + idem
-    if not ((acc - fqpoly.one(fld)) % n).is_zero:
+        if any(k.mod(idem, other) for other in moduli if other != m):
+            raise RuntimeError("idempotent does not vanish off its block")
+    if k.mod(reduce(k.add, idems), n_k) != 1:
         raise RuntimeError("idempotents do not sum to 1")
 
-    if fld.q == 2 and fld.s == 1:
-        return _idele_check_gf2(fld, n, blocks, idems,
-                                factored_n.unit_order(), rng_seed)
-    blocks = [(p_, a, pa, _unit_residues(fld, p_, pa))
-              for p_, a, pa in blocks]
-
-    width = n.degree
-    if fld.s == 1:
-        p = fld.p
-
-        def encode(f):
-            cs = f.coeffs + (0,) * (width - len(f.coeffs))
-            return cs
-
-        def combine(x, y):
-            return tuple((u + v) % p for u, v in zip(x, y))
-    else:
-        def encode(f):
-            return f
-
-        def combine(x, y):
-            return x + y
-
-    # per block, precompute e_i * u mod N for every local unit u
-    mapped_blocks = []
-    for (p_, a, pa, units), idem in zip(blocks, idems):
-        mapped_blocks.append([encode(idem * u % n) for u in units])
-    partial = list(mapped_blocks[0])
-    for block in mapped_blocks[1:]:
-        partial = [combine(x, y) for x in partial for y in block]
-    images = set(partial)
+    # u -> e_i u mod N is F_p-linear, so the images of all residues mod
+    # P^a are the F_p-combinations of the images of the monomials
+    units, images = [], []
+    for (p_, pa), idem in zip(blocks, idems):
+        basis = k.monomials(pa.degree)
+        mask = fqpoly.unit_mask(pa.degree, [p_])
+        units.append(list(itertools.compress(k.span(basis), mask)))
+        images.append(list(itertools.compress(k.span(
+            [k.mod(k.mul(idem, e), n_k) for e in basis]), mask)))
+    partial = images[0]
+    for block in images[1:]:
+        partial = [x + y for x in partial for y in block]
     expected = factored_n.unit_order()
-    if len(partial) != expected or len(images) != expected:
+    if len(partial) != expected \
+            or len({k.reduce(x) for x in partial}) != expected:
         return False
-    # residue recovery and multiplicativity on sampled tuples
-    rng = random.Random(rng_seed)
-    samples = [tuple(rng.randrange(len(b[3])) for b in blocks)
-               for _ in range(min(8, expected))]
-    for pick in samples:
-        r = _crt_combine(fld, n, blocks, idems, pick)
-        for (p_, a, pa, units), i in zip(blocks, pick):
-            if not ((r - units[i]) % pa).is_zero:
-                return False
-    for _ in range(min(8, expected)):
-        x = tuple(rng.randrange(len(b[3])) for b in blocks)
-        y = tuple(rng.randrange(len(b[3])) for b in blocks)
-        rx = _crt_combine(fld, n, blocks, idems, x)
-        ry = _crt_combine(fld, n, blocks, idems, y)
-        prod_residues = tuple(
-            blocks[j][3][x[j]] * blocks[j][3][y[j]] % blocks[j][2]
-            for j in range(len(blocks)))
-        direct = fqpoly.FqPoly(fld)
-        for (p_, a, pa, units), idem, r_ in zip(blocks, idems, prod_residues):
-            direct = direct + idem * r_
-        if (rx * ry - direct) % n != fqpoly.FqPoly(fld):
-            return False
-    return True
 
+    # residue recovery and multiplicativity on sampled tuples, by products
+    def combine(residues):
+        return k.mod(k.reduce(sum(map(k.mul, idems, residues))), n_k)
 
-def _clmul(a, b):
-    """Carryless (GF(2)[T]) product of two polynomial codes."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _clmod(a, m):
-    """Remainder of a modulo m in GF(2)[T] codes; m nonzero."""
-    mb = m.bit_length()
-    ab = a.bit_length()
-    while ab >= mb:
-        a ^= m << (ab - mb)
-        ab = a.bit_length()
-    return a
-
-
-def _idele_check_gf2(fld, n, blocks, idems, expected, rng_seed):
-    """Code-level specialization of the elementwise check over F_2, where
-    polynomial codes add by xor and multiply carrylessly."""
-    n_code = n.code()
-    unit_codes = []
-    pa_codes = []
-    for p_, a, pa in blocks:
-        p_code = p_.code()
-        pa_codes.append(pa.code())
-        unit_codes.append([c for c in range(1 << pa.degree)
-                           if _clmod(c, p_code)])
-    mapped_blocks = []
-    for codes, idem in zip(unit_codes, idems):
-        e_code = idem.code()
-        mapped_blocks.append([_clmod(_clmul(e_code, c), n_code)
-                              for c in codes])
-    partial = list(mapped_blocks[0])
-    for block in mapped_blocks[1:]:
-        partial = [x ^ y for x in partial for y in block]
-    if len(partial) != expected or len(set(partial)) != expected:
-        return False
-    idem_codes = [idem.code() for idem in idems]
     rng = random.Random(rng_seed)
     for _ in range(min(8, expected)):
-        pick = [rng.randrange(len(codes)) for codes in unit_codes]
-        r = 0
-        for codes, e_code, i in zip(unit_codes, idem_codes, pick):
-            r ^= _clmod(_clmul(e_code, codes[i]), n_code)
-        for codes, pa_code, i in zip(unit_codes, pa_codes, pick):
-            if _clmod(r ^ codes[i], pa_code):
-                return False
+        pick = [rng.choice(block) for block in units]
+        r = combine(pick)
+        if any(k.mod(r, m) != u for u, m in zip(pick, moduli)):
+            return False
     for _ in range(min(8, expected)):
-        x = [rng.randrange(len(codes)) for codes in unit_codes]
-        y = [rng.randrange(len(codes)) for codes in unit_codes]
-        rx = ry = direct = 0
-        for codes, e_code, pa_code, i, j in zip(
-                unit_codes, idem_codes, pa_codes, x, y):
-            rx ^= _clmod(_clmul(e_code, codes[i]), n_code)
-            ry ^= _clmod(_clmul(e_code, codes[j]), n_code)
-            prod = _clmod(_clmul(codes[i], codes[j]), pa_code)
-            direct ^= _clmod(_clmul(e_code, prod), n_code)
-        if _clmod(_clmul(rx, ry) ^ direct, n_code):
+        x = [rng.choice(block) for block in units]
+        y = [rng.choice(block) for block in units]
+        direct = combine([k.mod(k.mul(u, v), m)
+                          for u, v, m in zip(x, y, moduli)])
+        if k.mod(k.mul(combine(x), combine(y)), n_k) != direct:
             return False
     return True
-
-
-def _crt_combine(fld, n, blocks, idems, pick):
-    out = fqpoly.FqPoly(fld)
-    for (p_, a, pa, units), idem, i in zip(blocks, idems, pick):
-        out = out + idem * units[i]
-    return out % n
-
-
-def _unit_residues(fld, p_, pa):
-    out = []
-    for code in range(fld.q ** pa.degree):
-        r = fqpoly.poly_from_code(fld, code)
-        if not (r % p_).is_zero:
-            out.append(r)
-    return out
 
 
 def all_factored_moduli(fld, max_size):

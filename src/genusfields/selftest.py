@@ -348,78 +348,29 @@ def criterion_tame_formulas(bound=None):
 # ---------------------------------------------------------------------------
 # 7. Carlitz operator laws
 
-def _code_adder(fld):
-    """Fast addition of polynomial integer codes over F_q.
-
-    For q = 2 and q = 4 the field addition is bitwise xor and the code is
-    a packing of field elements, so codes add by xor.  For other prime q
-    the codes add digitwise mod q, chunked through a lookup table.
-    """
-    if fld.p == 2:
-        return lambda c1, c2: c1 ^ c2
-    q = fld.q
-    chunk = q ** 5
-    tab = [0] * (chunk * chunk)
-    for x in range(chunk):
-        base = x * chunk
-        for y in range(chunk):
-            s, mult, xx, yy = 0, 1, x, y
-            while xx or yy:
-                s += ((xx + yy) % q) * mult
-                mult *= q
-                xx //= q
-                yy //= q
-            tab[base + y] = s
-
-    def add(c1, c2):
-        out, mult = 0, 1
-        while c1 or c2:
-            out += tab[(c1 % chunk) * chunk + c2 % chunk] * mult
-            mult *= chunk
-            c1 //= chunk
-            c2 //= chunk
-        return out
-
-    return add
-
-
 def criterion_carlitz_laws(bound=None):
     deg = 4
     for q, s in ((2, 1), (3, 1), (2, 2)):
         fld = fqpoly.fq_field(q, s)
         qq = fld.q
         count = qq ** (deg + 1)
-        table = {}
-        codes = []
-        for code in range(count):
-            m = fqpoly.poly_from_code(fld, code)
-            op = genus_function.carlitz_operator(m)
-            table[code] = op
-            cs = [c.code() for c in op.coeffs]
-            codes.append(tuple(cs + [0] * (deg + 1 - len(cs))))
-        add = _code_adder(fld)
-        # additivity over every pair, at the level of coefficient codes;
-        # spot-check that the code comparison means operator equality
+        k = fld.kernel
+        polys = [fqpoly.poly_from_code(fld, c) for c in range(count)]
+        table = [genus_function.carlitz_operator(m) for m in polys]
+        keys = [fqpoly.packed(m) for m in polys]
+        index = {x: c for c, x in enumerate(keys)}
+        codes = [tuple(map(fqpoly.packed, op.coeffs))
+                 + (0,) * (deg + 1 - len(op.coeffs)) for op in table]
+        # additivity over every pair, at the level of kernel integers;
+        # spot-check that the comparison means operator equality
         for i in range(count):
             row = codes[i]
-            if fld.p == 2:
-                for j in range(i, count):
-                    other = codes[j]
-                    if codes[i ^ j] != tuple(
-                            x ^ y for x, y in zip(row, other)):
-                        return CriterionResult(
-                            7, "Carlitz laws", False,
-                            f"additivity fails over F_{qq} "
-                            f"at codes ({i}, {j})")
-            else:
-                for j in range(i, count):
-                    other = codes[j]
-                    if codes[add(i, j)] != tuple(
-                            add(x, y) for x, y in zip(row, other)):
-                        return CriterionResult(
-                            7, "Carlitz laws", False,
-                            f"additivity fails over F_{qq} "
-                            f"at codes ({i}, {j})")
+            for j in range(i, count):
+                if codes[index[k.add(keys[i], keys[j])]] != tuple(
+                        map(k.add, row, codes[j])):
+                    return CriterionResult(
+                        7, "Carlitz laws", False,
+                        f"additivity fails over F_{qq} at codes ({i}, {j})")
         rng = random.Random(7)
         for _ in range(200):
             i, j = rng.randrange(count), rng.randrange(count)
@@ -430,7 +381,6 @@ def criterion_carlitz_laws(bound=None):
                     7, "Carlitz laws", False,
                     f"operator-level additivity fails over F_{qq}")
         # composition: every pair whose product still has degree <= 4
-        polys = [fqpoly.poly_from_code(fld, c) for c in range(count)]
         for a in polys:
             if a.is_zero:
                 continue

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genusfields import fqpoly as fq
@@ -14,6 +14,9 @@ F3 = fq.fq_field(3)
 F4 = fq.fq_field(2, 2)
 F5 = fq.fq_field(5)
 F9 = fq.fq_field(3, 2)
+F512 = fq.fq_field(2, 9)
+F65521 = fq.fq_field(65521)
+KERNEL_FIELDS = [F2, F3, F4, F5, F9, F512, F65521]
 
 
 def schoolbook_mod(a, b):
@@ -31,6 +34,191 @@ def schoolbook_mod(a, b):
             rem[shift + i] = k.sub(rem[shift + i], k.mul(c, y))
         rem.pop()
     return fq.FqPoly(k, tuple(rem))
+
+
+def _digits(fld, a):
+    return [a // fld.p ** j % fld.p for j in range(fld.s)]
+
+
+def _element(fld, ds):
+    return sum(d % fld.p * fld.p ** j for j, d in enumerate(ds))
+
+
+def school_field_mul(fld, a, b):
+    """F_q product from base-p digit vectors, reduced by the field
+    modulus one top digit at a time."""
+    p, s = fld.p, fld.s
+    out = [0] * (2 * s - 1)
+    for i, x in enumerate(_digits(fld, a)):
+        for j, y in enumerate(_digits(fld, b)):
+            out[i + j] += x * y
+    for top in range(2 * s - 2, s - 1, -1):
+        c = out[top] % p
+        for j, m in enumerate(fld.modulus):
+            out[top - s + j] -= c * m
+    return _element(fld, out[:s])
+
+
+def school_field_add(fld, a, b):
+    return _element(fld, [x + y for x, y in
+                          zip(_digits(fld, a), _digits(fld, b))])
+
+
+def school_field_neg(fld, a):
+    return _element(fld, [-x for x in _digits(fld, a)])
+
+
+def trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def school_mul(fld, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = school_field_add(fld, out[i + j],
+                                          school_field_mul(fld, x, y))
+    return trim(out)
+
+
+def school_field_inv(fld, a):
+    """a^(q-2) by repeated squaring."""
+    out, e = 1, fld.q - 2
+    while e:
+        if e & 1:
+            out = school_field_mul(fld, out, a)
+        a, e = school_field_mul(fld, a, a), e >> 1
+    return out
+
+
+def school_divmod(fld, a, b):
+    """Long division over F_q."""
+    inv = school_field_inv(fld, b[-1])
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = school_field_mul(fld, rem[i + len(b) - 1], inv)
+        quo[i] = c
+        for j, y in enumerate(b):
+            cy = school_field_mul(fld, c, y)
+            rem[i + j] = school_field_add(fld, rem[i + j],
+                                          school_field_neg(fld, cy))
+    return trim(quo), trim(rem)
+
+
+def stretch(cs, e):
+    """The coefficients of a(T^e)."""
+    out = [0] * ((len(cs) - 1) * e + 1) if cs else []
+    out[::e] = cs
+    return tuple(out)
+
+
+def coefficients(fld):
+    return st.lists(st.integers(0, fld.q - 1), max_size=9)
+
+
+class TestKernel:
+    """The packed-integer kernel against schoolbook arithmetic written
+    here, over prime fields, table fields (q <= 256) and kernel fields."""
+
+    @given(st.data())
+    @example(None)
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations(self, data):
+        if data is None:    # zero, constants, and coefficients p - 1
+            cases = [(F2, (), (1,), 1, 1), (F9, (5,), (7,), 1, 1),
+                     (F65521, (65520,) * 3, (2,), 1, 1)]
+        else:
+            fld = data.draw(st.sampled_from(KERNEL_FIELDS))
+            cases = [(fld, data.draw(coefficients(fld)),
+                      data.draw(coefficients(fld)),
+                      data.draw(st.sampled_from([1, 1, 2, min(fld.q, 9)])),
+                      data.draw(st.sampled_from([1, 3])))]
+        for fld, acs, bcs, ea, eb in cases:
+            acs, bcs = stretch(trim(acs), ea), stretch(trim(bcs), eb)
+            a, b = fq.poly(fld, acs), fq.poly(fld, bcs)
+            assert (a * b).coeffs == school_mul(fld, acs, bcs)
+            assert (a + b).coeffs == trim(
+                school_field_add(fld, x, y) for x, y in
+                zip(acs + (0,) * len(bcs), bcs + (0,) * len(acs)))
+            assert (-a).coeffs == trim(school_field_neg(fld, x) for x in acs)
+            assert (a - b) + b == a
+            if bcs:
+                quo, rem = divmod(a, b)
+                assert (quo.coeffs, rem.coeffs) == school_divmod(fld, acs, bcs)
+                assert rem.degree < b.degree
+                qb = school_mul(fld, quo.coeffs, bcs)
+                assert fq.poly(fld, qb) + rem == a
+                k = fld.kernel
+                assert k.mod(fq.packed(a), fq.packed(b)) == fq.packed(rem)
+            assert fq.poly(fld, acs).scale(3 % fld.q).coeffs == trim(
+                school_field_mul(fld, 3 % fld.q, x) for x in acs)
+
+    def test_frobenius_stretch(self):
+        for fld in (F3, F4, F512):
+            k = fld.kernel
+            a = fq.poly(fld, (1, 0, fld.q - 1, 2))
+            assert fq.from_packed(fld, k.frobenius(fq.packed(a), fld.q)) \
+                == fq.poly(fld, stretch(a.coeffs, fld.q))
+
+    @pytest.mark.parametrize("fld", KERNEL_FIELDS)
+    def test_reduce_on_the_slot_domain(self, fld):
+        # every slot value below 2^(w-1), the top ones and the largest of
+        # residue p - 1 among them
+        k, p = fld.kernel, fld.p
+        top = (1 << (k.w - 1)) - 1
+        rng = random.Random(p)
+        last = top - (top + 1) % p
+        slots = [0, 1, p - 1, p, top, last, last - p]
+        slots += [rng.randrange(top) for _ in range(64)]
+        x = sum(d << k.w * i for i, d in enumerate(slots))
+        assert k.reduce(x) == sum(d % p << k.w * i
+                                  for i, d in enumerate(slots))
+
+    @pytest.mark.parametrize("fld", KERNEL_FIELDS)
+    def test_capacity_keeps_slots_in_the_reduction_domain(self, fld):
+        # a product of two reduced factors, the shorter with `cap`
+        # coefficients, or `cap` division steps from a reduced dividend
+        k, p = fld.kernel, fld.p
+        assert p - 1 + k.cap * k.s * (p - 1) ** 2 < 1 << (k.w - 1)
+        assert k.cap >= 2 ** 12
+
+    @pytest.mark.parametrize("fld", [F2, F3, F4])
+    def test_products_at_the_capacity(self, fld):
+        # every coefficient q - 1: the coefficient of T^i of the square
+        # is (q-1)^2 times the number of pairs summing to i
+        k, n = fld.kernel, fld.kernel.cap
+        c = fld.q - 1
+        a = k.pack((c,) * n)
+        square = school_field_mul(fld, c, c)
+        assert k.unpack(k.mul(a, a)) == tuple(
+            school_field_mul(fld, square, (min(i, 2 * n - 2 - i) + 1) % fld.p)
+            for i in range(2 * n - 1))
+        longer = k.pack((c,) * (n + 1))
+        with pytest.raises(BoundExceededError):
+            k.mul(longer, longer)
+        # a division of cap + 2 steps, through one reduction
+        b, x = fq.packed(fq.poly(fld, (1, 1))), a << 3 * k.group
+        quo, rem = k.divmod(x, b)
+        assert k.degree(quo) == n + 1 and k.add(k.mul(quo, b), rem) == x
+
+    def test_long_product_mod_65521(self):
+        # slot sums reach (p - 1)^2 2^15 ~ 2^47: a 32-bit slot, or one
+        # that drops the bits above 2^46, would carry into its neighbour
+        n = 2 ** 15
+        a = fq.poly(F65521, (65520,) * n)
+        got = (a * a).coeffs
+        assert got == tuple((min(i, 2 * n - 2 - i) + 1) % 65521
+                            for i in range(2 * n - 1))
+
+    def test_public_constructors_check_coefficients(self):
+        for bad in ((3,), (-1,)):
+            with pytest.raises(SchemaError):
+                fq.FqPoly(F3, bad)
+            with pytest.raises(SchemaError):
+                fq.poly(F3, bad)
 
 
 class TestField:
