@@ -9,7 +9,8 @@ Subgroup values compare equal exactly when the subgroups coincide.
 
 Also provides the unit groups (Z/nZ)* with exact discrete logarithms,
 which is the finite-level model used everywhere a p-adic unit group
-appears in the degree formulas.
+appears in the degree formulas, and their CRT construction
+(`CRTUnitGroup`), which (F_q[T]/<N>)* in `fqpoly` shares.
 """
 
 from __future__ import annotations
@@ -579,34 +580,34 @@ def _prime_power_generators(p, a):
     return [(_primitive_root(p, a), (p - 1) * p ** (a - 1))]
 
 
-class UnitGroup:
-    """(Z/nZ)* with an invariant-factor presentation and exact dlog/exp."""
+class CRTUnitGroup:
+    """What (Z/nZ)* and (F_q[T]/<N>)* share: the units modulo n, built
+    by CRT from generators of the units modulo each prime power of n.
 
-    def __init__(self, n):
-        if not 2 <= n <= UNIT_GROUP_BOUND:
-            raise BoundExceededError(f"modulus {n} outside [2, {UNIT_GROUP_BOUND}]")
-        self.modulus = n
-        self.factorization = factorize(n)
-        self.idempotents = {}  # by prime: 1 mod p^a, 0 mod n / p^a
-        raw_gens = []
-        raw_orders = []
-        self._component_slices = []
-        for p, a in self.factorization:
-            cof = n // p ** a
-            self.idempotents[p] = cof * pow(cof, -1, p ** a) % n
-            start = len(raw_gens)
-            for g, order in _prime_power_generators(p, a):
-                raw_gens.append(self.lift(p, g))
+    A subclass sets `modulus`, `one` and `idempotents` (per prime: 1
+    modulo its power in n, 0 modulo the rest), then calls `_present` with
+    each prime's generators and their orders.  Lifted by the idempotents,
+    these raw generators make the group their internal direct product,
+    which `GeneratorPresentation` brings to invariant form.  Residues
+    need only +, -, * and three-argument `pow` modulo n.
+    """
+
+    def _present(self, parts):
+        """`parts`: (prime, ((generator, order), ...)) per prime of n."""
+        raw_gens, raw_orders = [], []
+        for key, gens in parts:
+            for g, order in gens:
+                raw_gens.append(self.lift(key, g))
                 raw_orders.append(order)
-            self._component_slices.append((p, a, start, len(raw_gens)))
         self._raw_gens = raw_gens
         self._presentation = GeneratorPresentation(raw_orders)
         self.group = self._presentation.group
-        self._dlog_tables = None
 
-    def lift(self, p, u):
-        """Residue mod n equal to u modulo p^a and to 1 modulo n / p^a."""
-        return (1 + (u - 1) * self.idempotents[p]) % self.modulus
+    def lift(self, key, u):
+        """Residue mod n equal to u modulo the power of the prime `key`
+        and to 1 modulo the rest of n."""
+        return (self.one + (u - self.one) * self.idempotents[key]) \
+            % self.modulus
 
     @property
     def order(self):
@@ -619,24 +620,49 @@ class UnitGroup:
                                     for j in range(self.group.rank)))
                      for i in range(self.group.rank))
 
+    def exp(self, vec):
+        """Inverse of dlog: unit with the given exponent vector."""
+        out = self.one
+        raw = self._presentation.from_canonical(vec)
+        for g, e in zip(self._raw_gens, raw):
+            out = out * pow(g, e, self.modulus) % self.modulus
+        return out
+
+
+class UnitGroup(CRTUnitGroup):
+    """(Z/nZ)* with an invariant-factor presentation and exact dlog/exp."""
+
+    def __init__(self, n):
+        if not 2 <= n <= UNIT_GROUP_BOUND:
+            raise BoundExceededError(f"modulus {n} outside [2, {UNIT_GROUP_BOUND}]")
+        self.modulus, self.one = n, 1
+        self.factorization = factorize(n)
+        self.idempotents = {}  # by prime: 1 mod p^a, 0 mod n / p^a
+        for p, a in self.factorization:
+            cof = n // p ** a
+            self.idempotents[p] = cof * pow(cof, -1, p ** a) % n
+        self._parts = [(p, p ** a, _prime_power_generators(p, a))
+                       for p, a in self.factorization]
+        self._present((p, gens) for p, _, gens in self._parts)
+        self._dlog_tables = None
+
     def residues(self):
         n = self.modulus
         return (u for u in range(1, n) if gcd(u, n) == 1)
 
     def _tables(self):
+        """Per prime power q: exponent vectors of every unit mod q on
+        that prime's generators."""
         if self._dlog_tables is None:
             tables = []
-            for p, a, start, stop in self._component_slices:
-                q = p ** a
+            for _, q, gens in self._parts:
                 table = {}
-                gens = [self._raw_gens[i] % q for i in range(start, stop)]
-                orders = self._presentation.raw_orders[start:stop]
-                for exps in itertools.product(*(range(o) for o in orders)):
+                for exps in itertools.product(*(range(o) for _, o in gens)):
                     v = 1
-                    for g, e in zip(gens, exps):
+                    for (g, _), e in zip(gens, exps):
                         v = v * pow(g, e, q) % q
                     table[v] = exps
-                tables.append((q, start, stop, table))
+                tables.append((q, table))
             self._dlog_tables = tables
         return self._dlog_tables
 
@@ -646,18 +672,10 @@ class UnitGroup:
         u %= n
         if gcd(u, n) != 1:
             raise ValueError(f"{u} is not a unit modulo {n}")
-        raw = [0] * len(self._raw_gens)
-        for q, start, stop, table in self._tables():
-            raw[start:stop] = table[u % q]
+        raw = []
+        for q, table in self._tables():
+            raw.extend(table[u % q])
         return self._presentation.to_canonical(raw)
-
-    def exp(self, vec):
-        """Inverse of dlog: unit with the given exponent vector."""
-        out = 1 % self.modulus
-        raw = self._presentation.from_canonical(vec)
-        for g, e in zip(self._raw_gens, raw):
-            out = out * pow(g, e, self.modulus) % self.modulus
-        return out
 
 
 @lru_cache(maxsize=512)

@@ -34,10 +34,12 @@ class Component:
 
 
 class _UnitAmbient:
-    """What the two ambient kinds share: a unit group `units` with dlog,
-    exp and a table of CRT idempotents, and one cached matrix R_p per
-    component for the split of the dual into its p-components.
-    `residues` stays on each kind, where perfbench/tracing.py wraps it."""
+    """What the two ambient kinds share: a unit group `units`, an
+    `abelian.CRTUnitGroup` with dlog, exp and a table of CRT idempotents,
+    and one cached matrix R_p per component for the split of the dual
+    into its p-components.  `residues` stays on each kind, where
+    perfbench/tracing.py wraps it.  The function kind mod T^n also models
+    the units at the infinite prime (`genus_function.InfinityUnits`)."""
 
     def __init__(self, units):
         self.units = units

@@ -9,12 +9,15 @@ Every polynomial operation, for every q, runs on one kernel of packed
 integers over F_p (`Kernel`): a product is one integer multiply by
 Kronecker substitution with every slot reduced mod p at once, a
 remainder by a fixed modulus two more multiplies (Barrett), and a
-general division eliminates one top coefficient per step.  The unit
-groups, the idele check and the Carlitz recurrence work on kernel
-integers directly; `packed` and `from_packed` convert.
+general division eliminates one top coefficient per step.  A field
+element of F_q, q = p^s with s > 1, is a constant polynomial there, so
+scalar arithmetic takes the same path.  The unit groups, the idele check
+and the Carlitz recurrence work on kernel integers directly; `packed`
+and `from_packed` convert.
 
 Includes irreducibility testing, trial-division factorization of moduli,
-and the unit groups (F_q[T]/<N>)* with exact discrete logarithms.
+and the unit groups (F_q[T]/<N>)* with exact discrete logarithms, built
+by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`).
 """
 
 from __future__ import annotations
@@ -235,7 +238,7 @@ class Kernel:
 
     def pow_mod(self, x, e, m):
         """x^e modulo m, by repeated squaring."""
-        out, x = 1, self.mod(x, m)
+        out, x = self.mod(1, m), self.mod(x, m)
         while e:
             if e & 1:
                 out = self.mod(self.mul(out, x), m)
@@ -281,8 +284,8 @@ def _field_modulus(p, s):
 class FqField:
     """The finite field with q = p^s elements, q bounded at desk scale.
 
-    For s > 1 the operations read flat tables up to q = 256, and above it
-    run on the kernel, where a product is reduced by the field modulus.
+    For s > 1 every operation runs on the kernel as on a constant
+    polynomial, where a product is reduced by the field modulus.
     """
 
     def __init__(self, p, s=1):
@@ -296,25 +299,6 @@ class FqField:
         self.q = p ** s
         self.modulus = _field_modulus(p, s) if s > 1 else None
         self.kernel = Kernel(self)
-        self._add = self._neg = self._mul = self._inv = None
-        if s > 1 and self.q <= 256:
-            # one row per kernel operation: the polynomial whose
-            # coefficient of T^b is b, times or plus a constant a
-            k, q = self.kernel, self.q
-            every, ones = k.pack(range(q)), k.pack((1,) * q)
-
-            def row(x):
-                out = k.unpack(x)
-                return out + (0,) * (q - len(out))
-
-            add = [c for a in range(q) for c in row(
-                k.add(k.mul(k.pack((a,)), ones), every))]
-            mul = [c for a in range(q) for c in row(
-                k.mul(k.pack((a,)), every))]
-            inv = [0] + [mul.index(1, a * q, (a + 1) * q) - a * q
-                         for a in range(1, q)]
-            self._add, self._neg, self._mul, self._inv = (
-                add, row(k.neg(every)), mul, inv)
 
     def __eq__(self, other):
         return (isinstance(other, FqField)
@@ -326,25 +310,20 @@ class FqField:
     def __repr__(self):
         return f"FqField({self.p})" if self.s == 1 else f"FqField({self.p}, {self.s})"
 
-    def _scalar(self, x):
-        return self.kernel.unpack(x)[0] if x else 0
-
     def _on_kernel(self, op, *elements):
+        """A kernel operation on constant polynomials, as a field element."""
         k = self.kernel
-        return self._scalar(op(*(k.pack((a,)) for a in elements)))
+        x = op(*(k.pack((a,)) for a in elements))
+        return k.unpack(x)[0] if x else 0
 
     def add(self, a, b):
         if self.s == 1:
             return (a + b) % self.p
-        if self._add:
-            return self._add[a * self.q + b]
         return self._on_kernel(self.kernel.add, a, b)
 
     def neg(self, a):
         if self.s == 1:
             return (-a) % self.p
-        if self._neg:
-            return self._neg[a]
         return self._on_kernel(self.kernel.neg, a)
 
     def sub(self, a, b):
@@ -353,8 +332,6 @@ class FqField:
     def mul(self, a, b):
         if self.s == 1:
             return a * b % self.p
-        if self._mul:
-            return self._mul[a * self.q + b]
         return self._on_kernel(self.kernel.mul, a, b)
 
     def inv(self, a):
@@ -362,8 +339,6 @@ class FqField:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv:
-            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a, e):
@@ -465,8 +440,17 @@ class FqPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, e):
-        """self^e for an integer e >= 0, by repeated squaring."""
+    def __pow__(self, e, modulus=None):
+        """self^e for an integer e >= 0, by repeated squaring; with a
+        modulus, pow(f, e, m), reduced modulo m after every product."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if modulus is not None:
+            _same_field(self, modulus)
+            if modulus.is_zero:
+                raise ZeroDivisionError("reduction by the zero polynomial")
+            return from_packed(self.field, self.field.kernel.pow_mod(
+                packed(self), e, packed(modulus)))
         out, base = one(self.field), self
         while e:
             if e & 1:
@@ -560,11 +544,6 @@ def poly_gcd(a, b):
     return a.monic() if not a.is_zero else a
 
 
-def poly_pow_mod(base, e, modulus):
-    k, m = base.field.kernel, packed(modulus)
-    return from_packed(base.field, k.pow_mod(packed(base), e, m))
-
-
 @lru_cache(maxsize=4096)
 def is_irreducible(f):
     """Irreducibility over F_q, by Frobenius gcd sieving.
@@ -582,7 +561,7 @@ def is_irreducible(f):
     k = f.field
     t = variable(k) % f
     for i in range(1, n // 2 + 1):
-        t = poly_pow_mod(t, k.q, f)
+        t = pow(t, k.q, f)
         if poly_gcd(f, t - variable(k)).degree >= 1:
             return False
     return True
@@ -735,17 +714,18 @@ def unit_residues(degree, primes):
                                    unit_mask(degree, primes)))
 
 
-class UnitGroupModN:
+class UnitGroupModN(abelian.CRTUnitGroup):
     """(F_q[T]/<N>)* with invariant-factor structure and exact dlog/exp.
 
-    Built by CRT from the prime-power parts of N; each part's generators
-    are extracted by enumeration.
+    Built by CRT from the prime-power parts of N (`abelian.CRTUnitGroup`);
+    each part's generators are extracted by enumeration.
     """
 
     def __init__(self, factored_n):
         self.factored = factored_n
         self.field = factored_n.field
         self.modulus = factored_n.modulus
+        self.one = one(self.field)
         size = self.field.q ** self.modulus.degree
         if size > UNIT_ENUMERATION_BOUND:
             raise BoundExceededError(
@@ -754,25 +734,9 @@ class UnitGroupModN:
         self.crt_components = tuple(_prime_power_units(p_, a)
                                     for p_, a in factored_n.factors)
         self.idempotents = crt_idempotents(factored_n)
-        raw_gens = []
-        raw_orders = []
-        for comp in self.crt_components:
-            raw_gens.extend(self.lift(comp.prime, g)
-                            for g in comp.raw_generators)
-            raw_orders.extend(comp.raw_orders)
-        self._raw_gens = raw_gens
-        self._presentation = abelian.GeneratorPresentation(raw_orders)
-        self.group = self._presentation.group
+        self._present((comp.prime, zip(comp.raw_generators, comp.raw_orders))
+                      for comp in self.crt_components)
         assert self.group.order == factored_n.unit_order()
-
-    def lift(self, prime, residue):
-        """Residue mod N equal to `residue` at the prime and 1 elsewhere."""
-        u1 = one(self.field)
-        return (u1 + (residue - u1) * self.idempotents[prime]) % self.modulus
-
-    @property
-    def order(self):
-        return self.group.order
 
     def residues(self):
         for x in unit_residues(self.modulus.degree,
@@ -785,20 +749,6 @@ class UnitGroupModN:
         for comp in self.crt_components:
             raw.extend(comp.dlog_raw(residue))
         return self._presentation.to_canonical(raw)
-
-    def exp(self, vec):
-        raw = self._presentation.from_canonical(vec)
-        out = one(self.field)
-        for g, e in zip(self._raw_gens, raw):
-            out = out * poly_pow_mod(g, e, self.modulus) % self.modulus \
-                if e else out
-        return out % self.modulus
-
-    @property
-    def generators(self):
-        return tuple(self.exp(tuple(1 if j == i else 0
-                                    for j in range(self.group.rank)))
-                     for i in range(self.group.rank))
 
 
 def crt_idempotents(factored_n):

@@ -5,8 +5,9 @@ and the invariants of the field S carrying the infinite prime's data.
 The genus and extended genus groups of a character group mod N come from
 the one pipeline in `genus_number`; the entry points here check that the
 modulus is a polynomial.  The infinite prime sits at pi = 1/T; its local
-units are modeled by the finite quotient F_q* x U^(1)/U^(n_max) with a
-free integer coordinate for the pi-valuation.
+units are modeled by the finite quotient F_q* x U^(1)/U^(n_max), which is
+(F_q[T]/T^n_max)* under pi -> T and so reuses the unit group of the
+finite primes, with a free integer coordinate for the pi-valuation.
 """
 
 from __future__ import annotations
@@ -322,7 +323,10 @@ class InfinityUnits:
 
     Elements are pairs (c, tail) with c a nonzero constant and tail the
     coefficients (a_1, ..., a_{n_max-1}) of a 1-unit 1 + a_1 pi + ...
-    truncated at pi^n_max.
+    truncated at pi^n_max.  Under pi -> T the quotient is the unit group
+    of F_q[[pi]]/(pi^n_max) = F_q[T]/(T^n_max) (Hayes, Trans. AMS 189,
+    1974), so the pair is the unit c (1 + a_1 T + ...) of the ambient
+    mod T^n_max, and U^(n) is that ambient's 1-units at level n.
     """
 
     def __init__(self, fld, n_max):
@@ -335,44 +339,14 @@ class InfinityUnits:
                 f"size {size} exceeds the bound {2 ** 12}")
         self.field = fld
         self.n_max = n_max
-        self.identity = (1, (0,) * (n_max - 1))
-        els = []
-        for c in range(1, fld.q):
-            for tail in itertools.product(range(fld.q), repeat=n_max - 1):
-                els.append((c, tail))
-        self.element_list = els
-        self._mul_cache = {}
-        gens, orders, dlog = abelian.abelian_basis(
-            els, self.identity, self.mul)
-        self._raw_gens = gens
-        self._raw_dlog = dlog
-        self._presentation = abelian.GeneratorPresentation(orders)
-        self.group = self._presentation.group
-
-    def mul(self, x, y):
-        """(c, 1 + sum a_i pi^i) * (d, 1 + sum b_i pi^i), truncated."""
-        fld = self.field
-        c = fld.mul(x[0], y[0])
-        a = (1,) + x[1]
-        b = (1,) + y[1]
-        out = [0] * self.n_max
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    if v and i + j < self.n_max:
-                        out[i + j] = fld.add(out[i + j], fld.mul(u, v))
-        return (c, tuple(out[1:]))
+        self.ambient = characters.ff_ambient(
+            fqpoly.factored(fld, [(fqpoly.variable(fld), n_max)]))
+        self.group = self.ambient.group
 
     def dlog(self, x):
-        return self._presentation.to_canonical(self._raw_dlog[x])
-
-    def exp(self, vec):
-        raw = self._presentation.from_canonical(vec)
-        out = self.identity
-        for g, e in zip(self._raw_gens, raw):
-            for _ in range(e):
-                out = self.mul(out, g)
-        return out
+        c, tail = x
+        return self.ambient.dlog(
+            fqpoly.poly(self.field, (1,) + tuple(tail)).scale(c))
 
     def subgroup(self, elements):
         """Subgroup of the canonical group generated by concrete elements."""
@@ -385,11 +359,10 @@ class InfinityUnits:
     def one_units_subgroup(self, n):
         """Image of U^(n): 1-units congruent to 1 modulo pi^n (n >= 1);
         n = 0 gives the whole quotient."""
-        if n == 0:
-            return self.full_subgroup()
-        els = [x for x in self.element_list
-               if x[0] == 1 and not any(x[1][:n - 1])]
-        return self.subgroup(els)
+        amb = self.ambient
+        component, = amb.components()
+        return abelian.subgroup_from_generators(
+            self.group, [amb.dlog(u) for u in amb.one_units(component, n)])
 
 
 @dataclass(frozen=True)
@@ -398,7 +371,8 @@ class InfinitePrimeRecord:
 
     e: int
     t: int
-    norm_subgroup: object = None  # Subgroup of the InfinityUnits group
+    # Subgroup of InfinityUnits.group: (F_q[T]/T^n_max)* under pi -> T
+    norm_subgroup: object = None
 
     def __post_init__(self):
         if self.e < 1 or self.t < 1:

@@ -228,7 +228,8 @@ class TestField:
         with pytest.raises(BoundExceededError):
             fq.FqField(2, 17)
 
-    @pytest.mark.parametrize("fld", [F2, F3, F4, F5, F9])
+    @pytest.mark.parametrize("fld", [F2, F3, F4, F5, F9, fq.fq_field(2, 8),
+                                     F512])
     def test_field_axioms(self, fld):
         els = list(fld.elements())
         for a in els:
@@ -306,6 +307,27 @@ class TestPolyArith:
             assert a.is_zero and b.is_zero
         else:
             assert (a % g).is_zero and (b % g).is_zero
+
+    def test_pow_with_modulus(self):
+        # pow(f, e, m) reduces after every product; it must equal the
+        # full power reduced once, constant moduli included
+        rng = random.Random(300)
+        for fld in (F2, F3, F4, F9):
+            for _ in range(12):
+                f = fq.poly(fld, [rng.randrange(fld.q)
+                                  for _ in range(rng.randint(0, 5))])
+                m = fq.poly(fld, [rng.randrange(fld.q)
+                                  for _ in range(rng.randint(0, 4))]
+                            + [rng.randrange(1, fld.q)])
+                for e in (0, 1, 2, rng.randint(3, 299), 300):
+                    assert pow(f, e, m) == (f ** e) % m
+        with pytest.raises(ZeroDivisionError):
+            pow(fq.one(F2), 2, fq.FqPoly(F2))
+        t = fq.variable(F2)
+        with pytest.raises(ValueError):
+            pow(t, -1, t + fq.one(F2))
+        with pytest.raises(ValueError):
+            t ** -1
 
     def test_code_round_trip(self):
         for fld in (F2, F3, F4):

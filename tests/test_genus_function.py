@@ -1,5 +1,6 @@
 """Carlitz arithmetic, function-field genus groups, and the infinite prime."""
 
+import itertools
 import math
 import random
 
@@ -260,14 +261,40 @@ def test_infinity_units_structure():
     assert str(gf.InfinityUnits(F2, 1).group) == "C1"
 
 
+def _series_mul(fld, n_max, x, y):
+    """(c, 1 + sum a_i pi^i) * (d, 1 + sum b_i pi^i) truncated at
+    pi^n_max: the group law of F_q* x U^(1)/U^(n_max) on pairs, written
+    with scalar field arithmetic only, as the reference for the model."""
+    c = fld.mul(x[0], y[0])
+    a = (1,) + x[1]
+    b = (1,) + y[1]
+    out = [0] * n_max
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v and i + j < n_max:
+                    out[i + j] = fld.add(out[i + j], fld.mul(u, v))
+    return (c, tuple(out[1:]))
+
+
 def test_infinity_units_round_trip_and_homomorphism():
-    inf = gf.InfinityUnits(F3, 3)
-    for x in inf.element_list:
-        assert inf.exp(inf.dlog(x)) == x
-    for x in inf.element_list[:9]:
-        for y in inf.element_list[:9]:
-            assert inf.group.add(inf.dlog(x), inf.dlog(y)) \
-                == inf.dlog(inf.mul(x, y))
+    # dlog on every pair (c, tail) is a bijection onto the group and a
+    # homomorphism for the truncated-series law; U^(n) is the span of
+    # the pairs (1, tail) with tail[:n - 1] = 0
+    for fld, n_max in ((F2, 4), (F3, 3), (F4, 3)):
+        inf = gf.InfinityUnits(fld, n_max)
+        pairs = [(c, tail) for c in range(1, fld.q) for tail in
+                 itertools.product(range(fld.q), repeat=n_max - 1)]
+        logs = {x: inf.dlog(x) for x in pairs}
+        assert len(set(logs.values())) == len(pairs) == inf.group.order
+        assert set(logs.values()) == set(inf.group.elements())
+        for x in pairs:
+            for y in pairs:
+                assert logs[_series_mul(fld, n_max, x, y)] \
+                    == inf.group.add(logs[x], logs[y])
+        for n in range(1, n_max + 1):
+            assert inf.one_units_subgroup(n) == inf.subgroup(
+                [x for x in pairs if x[0] == 1 and not any(x[1][:n - 1])])
 
 
 def test_one_unit_filtration_is_decreasing():
