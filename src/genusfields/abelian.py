@@ -16,9 +16,10 @@ appears in the degree formulas, and their CRT construction
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import AmbientMismatchError, BoundExceededError, DimensionError
 
@@ -300,23 +301,15 @@ class Subgroup:
 
     def structure(self):
         """Invariant factors of the subgroup itself."""
-        rows = _square_lattice(self)
         k = self.ambient.rank
+        if len(self.lattice) != k:
+            raise ValueError("subgroup lattice must be full rank")
         # relation matrix C with C * rows = diag(d): the subgroup is Z^k / C
         return _invariant_group(
-            _solve_upper(rows, self.ambient.invariant_factors, k), k)
+            _solve_upper(self.lattice, self.ambient.invariant_factors, k), k)
 
     def __str__(self):
         return f"subgroup of order {self.order} in {self.ambient}"
-
-
-def _square_lattice(sub):
-    """HNF rows padded/checked to a full-rank k x k upper triangular matrix."""
-    k = sub.ambient.rank
-    rows = list(sub.lattice)
-    if len(rows) != k:
-        raise ValueError("subgroup lattice must be full rank")
-    return rows
 
 
 def _solve_upper(rows, ds, k):
@@ -435,30 +428,26 @@ class GeneratorPresentation:
 
     def __init__(self, raw_orders):
         self.raw_orders = [int(o) for o in raw_orders]
-        r = len(self.raw_orders)
-        diag, self._v = snf_with_transform(_diagonal(self.raw_orders), r)
-        self._vinv = unimodular_inverse(self._v)
-        self._diag = diag
-        self._kept = [i for i, d in enumerate(diag) if d > 1]
-        self.group = FiniteAbelianGroup(tuple(diag[i] for i in self._kept))
+        diag, v = snf_with_transform(_diagonal(self.raw_orders),
+                                     len(self.raw_orders))
+        vinv = unimodular_inverse(v)
+        kept = [i for i, d in enumerate(diag) if d > 1]
+        self.group = FiniteAbelianGroup(tuple(diag[i] for i in kept))
+        # raw -> canonical by V's kept columns, back by V^-1's kept rows
+        self._columns = [([row[j] for row in v], diag[j]) for j in kept]
+        self._rows = [([vinv[j][i] for j in kept], o)
+                      for i, o in enumerate(self.raw_orders)]
 
     def to_canonical(self, raw_vec):
         """Exponent vector on raw generators -> canonical GroupElement."""
-        full = [sum(raw_vec[i] * self._v[i][j] for i in range(len(raw_vec)))
-                % self._diag[j]
-                for j in range(len(self._diag))]
-        return tuple(full[i] for i in self._kept)
+        return tuple(sum(map(operator.mul, raw_vec, col)) % d
+                     for col, d in self._columns)
 
     def from_canonical(self, vec):
         """Canonical GroupElement -> exponent vector on raw generators."""
         vec = self.group.reduce(vec)
-        full = [0] * len(self._diag)
-        for slot, i in enumerate(self._kept):
-            full[i] = vec[slot]
-        return tuple(
-            sum(full[j] * self._vinv[j][i] for j in range(len(full)))
-            % self.raw_orders[i]
-            for i in range(len(self.raw_orders)))
+        return tuple(sum(map(operator.mul, vec, row)) % o
+                     for row, o in self._rows)
 
 
 def divisors(n):
@@ -469,72 +458,98 @@ def divisors(n):
     return sorted(out)
 
 
-def abelian_basis(elements, identity, mul):
-    """Independent generators of a finite abelian group given concretely.
+def greedy_basis(group, candidates, power, mul):
+    """Independent generators of `group`: per round, the first of
+    `candidates()` ((element, vector) pairs) of order E modulo the span of
+    the earlier picks, E the quotient's exponent, minus (v_i / E) times
+    pick i, v the coordinates of E times it (each v_i divisible by E, by
+    maximality).  Returns the picks, their orders, and the matrix from
+    `group` to coordinates on them."""
+    picks, orders, vecs = [], [], []
+    while prod(orders, start=1) < group.order:
+        span = subgroup_from_generators(group, vecs)
+        top = quotient_structure(span).exponent
+        element, vec = next((x, v) for x, v in candidates() if not any(
+            span.contains(group.scale(v, top // l)) for l, _ in factorize(top)))
+        coords = _span_coordinates(group, vecs, orders, group.scale(vec, top))
+        if any(c % top for c in coords):
+            raise ValueError("generator extraction lost independence")
+        for w, g, c, o in zip(vecs, picks, coords, orders):
+            vec = group.add(vec, group.scale(w, -(c // top) % o))
+            element = mul(element, power(g, -(c // top) % o))
+        picks.append(element)
+        orders.append(top)
+        vecs.append(vec)
+    return picks, orders, [_span_coordinates(group, vecs, orders, e)
+                           for e in _diagonal([1] * group.rank)]
 
-    `elements` is the full element list, `mul` the group law.  Returns
-    (gens, orders, dlog) where the group is the internal direct product of
-    the <gens[i]> (orders non-increasing) and dlog maps every element to
-    its exponent vector.
 
-    Generators are extracted greedily by maximal order in the quotient by
-    the current span; maximality is what makes the power of the new
-    element landing in the span divisible by its coset order, so the span
-    always extends as a direct product.
-    """
-    total = len(elements)
+def _span_coordinates(group, vecs, orders, y):
+    """Coordinates of y on the independent `vecs`: clearing y's left half
+    with the HNF of [v_i | e_i] and [d_j e_j | 0], pivot i in row i < k,
+    leaves minus them on the right."""
+    k, t = group.rank, len(vecs)
+    h = hnf([list(v) + e for v, e in zip(vecs, _diagonal([1] * t))]
+            + [r + [0] * t for r in _diagonal(group.invariant_factors)],
+            k + t)
+    x = list(y) + [0] * t
+    for i in range(k):
+        x = [a - x[i] // h[i][i] * b for a, b in zip(x, h[i])]
+    if any(x[:k]):
+        raise ValueError("vector outside the span")
+    return [-c % o for c, o in zip(x[k:], orders)]
 
-    def power(x, e):
-        r = x if e & 1 else identity
-        e >>= 1
-        while e:
-            x = mul(x, x)
-            if e & 1:
-                r = mul(r, x)
-            e >>= 1
-        return r
 
-    primes = [p for p, _ in factorize(total)]
+class CyclicLog:
+    """Logs to a base g of order n under `power` and `mul`, by Pohlig and
+    Hellman (IEEE Trans. Inf. Theory 24, 1978): modulo each l^a || n in
+    base-l^c digits, each one lookup in a table of at most `TABLE_LIMIT`
+    powers, or for l above it by baby-step giant-step."""
 
-    def order_of(x):
-        o = total
-        for l in primes:
-            while o % l == 0 and power(x, o // l) == identity:
-                o //= l
-        return o
+    TABLE_LIMIT = 64
 
-    gens = []
-    orders = []
-    dlog = {identity: ()}
-    while len(dlog) < total:
-        best = None
-        best_c = 0
-        for b in elements:
-            if b in dlog:
-                continue
-            for c in divisors(order_of(b)):
-                if power(b, c) in dlog:
-                    break
-            if c > best_c:
-                best, best_c = b, c
-        b, c = best, best_c
-        v = dlog[power(b, c)]
-        adjusted = b
-        for g, o, vi in zip(gens, orders, v):
-            if vi % c:
-                raise ValueError("generator extraction lost independence")
-            adjusted = mul(adjusted, power(g, (-(vi // c)) % o))
-        span = list(dlog.items())
-        step = identity
-        for j in range(1, c):
-            step = mul(step, adjusted)
-            for x, vec in span:
-                dlog[mul(x, step)] = vec + (j,)
-        for x, vec in span:
-            dlog[x] = vec + (0,)
-        gens.append(adjusted)
-        orders.append(c)
-    return gens, orders, dlog
+    def __init__(self, g, n, power, mul):
+        self.order, self._power, self._mul = n, power, mul
+        self._parts, self._tables = [], {}
+        for l, a in factorize(n):
+            la, cof = l ** a, n // l ** a
+            width = max(c for c in range(1, a + 1)
+                        if c == 1 or l ** c <= self.TABLE_LIMIT)
+            self._parts.append((l, a, la, cof, cof * pow(cof, -1, la) % n,
+                                power(g, cof), width))
+
+    def __call__(self, h):
+        """The x in [0, n) with g^x = h."""
+        x = 0
+        for l, a, la, cof, crt, gl, width in self._parts:
+            hl, xl = self._power(h, cof), 0
+            for j in range(0, a, width):
+                c = min(width, a - j)
+                # (gl^-xl hl)^e = gamma^digit, gamma of order l^c
+                y = self._mul(self._power(gl, la - xl), hl) if xl else hl
+                e = l ** (a - j - c)
+                xl += self._digit(l, c, la, gl,
+                                  y if e == 1 else self._power(y, e)) * l ** j
+            x += xl * crt
+        return x % self.order
+
+    def _digit(self, l, c, la, gl, y):
+        """The d < l^c with gamma^d = y, gamma = gl^(la / l^c)."""
+        order = l ** c
+        if (l, c) not in self._tables:
+            gamma = self._power(gl, la // order)
+            m = order if order <= self.TABLE_LIMIT else isqrt(order - 1) + 1
+            baby, z = {}, self._power(gamma, 0)
+            for j in range(m):
+                baby.setdefault(z, j)
+                z = self._mul(z, gamma)
+            self._tables[l, c] = m, baby, self._power(gamma, order - m % order)
+        m, baby, giant = self._tables[l, c]
+        for i in range(0, order, m):
+            if y in baby:
+                return i + baby[y]
+            y = self._mul(y, giant)
+        raise ValueError("element outside the cyclic group")
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +609,23 @@ class CRTUnitGroup:
 
     def _present(self, parts):
         """`parts`: (prime, ((generator, order), ...)) per prime of n."""
-        raw_gens, raw_orders = [], []
+        raw_gens, raw_orders, raw_keys = [], [], []
         for key, gens in parts:
             for g, order in gens:
                 raw_gens.append(self.lift(key, g))
                 raw_orders.append(order)
-        self._raw_gens = raw_gens
+                raw_keys.append(key)
+        self._raw_gens, self._raw_keys = raw_gens, raw_keys
         self._presentation = GeneratorPresentation(raw_orders)
         self.group = self._presentation.group
+
+    def component_part(self, key, vec):
+        """dlog of eps_key(exp(vec)), 1 off the prime `key`, without a
+        dlog: the raw generators are CRT lifts, so it is `vec` with every
+        raw coordinate outside `key` set to 0."""
+        raw = self._presentation.from_canonical(vec)
+        return self._presentation.to_canonical(
+            [e if k == key else 0 for e, k in zip(raw, self._raw_keys)])
 
     def lift(self, key, u):
         """Residue mod n equal to u modulo the power of the prime `key`
@@ -616,9 +640,7 @@ class CRTUnitGroup:
     @property
     def generators(self):
         """Residues mapping to the standard basis of the invariant factors."""
-        return tuple(self.exp(tuple(1 if j == i else 0
-                                    for j in range(self.group.rank)))
-                     for i in range(self.group.rank))
+        return tuple(map(self.exp, _diagonal([1] * self.group.rank)))
 
     def exp(self, vec):
         """Inverse of dlog: unit with the given exponent vector."""
@@ -630,7 +652,9 @@ class CRTUnitGroup:
 
 
 class UnitGroup(CRTUnitGroup):
-    """(Z/nZ)* with an invariant-factor presentation and exact dlog/exp."""
+    """(Z/nZ)* with an invariant-factor presentation and exact dlog/exp:
+    a `CyclicLog` on the primitive root of each odd p^a, and at 2^a the
+    sign, then a `CyclicLog` on 5 (a unit mod 2^a is +-5^k)."""
 
     def __init__(self, n):
         if not 2 <= n <= UNIT_GROUP_BOUND:
@@ -641,30 +665,18 @@ class UnitGroup(CRTUnitGroup):
         for p, a in self.factorization:
             cof = n // p ** a
             self.idempotents[p] = cof * pow(cof, -1, p ** a) % n
-        self._parts = [(p, p ** a, _prime_power_generators(p, a))
-                       for p, a in self.factorization]
-        self._present((p, gens) for p, _, gens in self._parts)
-        self._dlog_tables = None
+        parts = [(p, _prime_power_generators(p, a))
+                 for p, a in self.factorization]
+        self._present(parts)
+        # per prime power: a CyclicLog on its primitive root, or on 5
+        self._logs = [(p ** a, CyclicLog(
+            *gens[-1], lambda x, e, q=p ** a: pow(x, e, q),
+            lambda x, y, q=p ** a: x * y % q) if p > 2 or a >= 3 else None)
+            for (p, a), (_, gens) in zip(self.factorization, parts)]
 
     def residues(self):
         n = self.modulus
         return (u for u in range(1, n) if gcd(u, n) == 1)
-
-    def _tables(self):
-        """Per prime power q: exponent vectors of every unit mod q on
-        that prime's generators."""
-        if self._dlog_tables is None:
-            tables = []
-            for _, q, gens in self._parts:
-                table = {}
-                for exps in itertools.product(*(range(o) for _, o in gens)):
-                    v = 1
-                    for (g, _), e in zip(gens, exps):
-                        v = v * pow(g, e, q) % q
-                    table[v] = exps
-                tables.append((q, table))
-            self._dlog_tables = tables
-        return self._dlog_tables
 
     def dlog(self, u):
         """Exponent vector of the unit u on the canonical generators."""
@@ -673,8 +685,13 @@ class UnitGroup(CRTUnitGroup):
         if gcd(u, n) != 1:
             raise ValueError(f"{u} is not a unit modulo {n}")
         raw = []
-        for q, table in self._tables():
-            raw.extend(table[u % q])
+        for q, log in self._logs:
+            v = u % q
+            if q % 2 == 0 and q > 2:  # the sign, on -1 = q - 1
+                raw.append(v % 4 // 2)
+                v = v if v % 4 == 1 else q - v
+            if log is not None:
+                raw.append(log(v))
         return self._presentation.to_canonical(raw)
 
 

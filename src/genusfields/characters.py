@@ -37,8 +37,8 @@ class _UnitAmbient:
     """What the two ambient kinds share: a unit group `units`, an
     `abelian.CRTUnitGroup` with dlog, exp and a table of CRT idempotents,
     and one cached matrix R_p per component for the split of the dual
-    into its p-components.  `residues` stays on each kind, where
-    perfbench/tracing.py wraps it.  The function kind mod T^n also models
+    into its p-components, read off the presentation.  `residues` stays
+    on each kind, where perfbench/tracing.py wraps it.  The function kind mod T^n also models
     the units at the infinite prime (`genus_function.InfinityUnits`)."""
 
     def __init__(self, units):
@@ -68,14 +68,14 @@ class _UnitAmbient:
         back is b R_p, i.e. b composed with eps_p(u) = lift(project(u)).
 
         Row j of M is dlog(eps_p(g_j)) on the canonical generators g_j,
-        and R_p[i][j] = M[j][i] d_j / d_i mod d_j: exact, because
-        eps_p(g_j) has order dividing d_j.  Built from rank(G) dlogs once
-        per component, then cached."""
+        with no dlog (`CRTUnitGroup.component_part`), and R_p[i][j] =
+        M[j][i] d_j / d_i mod d_j: exact, because eps_p(g_j) has order
+        dividing d_j.  Cached per component."""
         r = self._component_matrices.get(component.key)
         if r is None:
             d = list(enumerate(self.group.invariant_factors))
-            m = [self.dlog(self.lift(component, self.project(component, g)))
-                 for g in self.generators]
+            m = [self.units.component_part(component.key, e)
+                 for e in abelian._diagonal([1] * self.group.rank)]
             if any(m[j][i] * dj % di for i, di in d for j, dj in d):
                 raise RuntimeError(
                     "component value escaped the expected order")
@@ -171,16 +171,11 @@ class FunctionFieldAmbient(_UnitAmbient):
     def one_units(self, component, b):
         """Residues mod N generating the units = 1 mod P^b at the
         component and = 1 at the other components: 1 + x*P^k for
-        b <= k < a and x in an F_p-basis c*T^j of F_q[T]/P."""
-        p_, a = component.ambient.factored.factors[0]
-        if b == 0:
-            gens = component.ambient.generators
-        else:
-            fld = self.field
-            one = fqpoly.one(fld)
-            gens = [one + fqpoly.poly(fld, (0,) * j + (fld.p ** i,)) * pk
-                    for pk in [p_ ** k for k in range(b, a)]
-                    for j in range(p_.degree) for i in range(fld.s)]
+        b <= k < a and x in an F_p-basis c*T^j of F_q[T]/P, the layers
+        of `fqpoly._PrimePowerUnits`."""
+        units, = component.ambient.units.crt_components
+        gens = component.ambient.generators if b == 0 else \
+            units.one_units[units.width * (b - 1):]
         return tuple(self.lift(component, g) for g in gens)
 
     def reduction_kernel(self, m):

@@ -23,6 +23,7 @@ by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`).
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -663,37 +664,104 @@ def factor_modulus(n):
 # ---------------------------------------------------------------------------
 # Unit groups (F_q[T]/<N>)*
 
+def _check_enumeration_bound(modulus):
+    q = modulus.field.q
+    if q ** modulus.degree > UNIT_ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"F_{q}[T]/({modulus}) of size {q ** modulus.degree} exceeds the "
+            f"enumeration bound {UNIT_ENUMERATION_BOUND}")
+
+
 class _PrimePowerUnits:
-    """Units of F_q[T]/<P^a>, enumerated, with generators and dlog."""
+    """Units of F_q[T]/<P^a> by structure, C_(q^d - 1) x U^(1): a log by
+    `abelian.CyclicLog` and base-p digits on the 1-units 1 + c T^j P^k,
+    whose p-th power relations give the structure.  The raw generators
+    are those the greedy scan of the residues in code order picks
+    (`abelian.greedy_basis`), and one matrix takes (log, digits) to
+    coordinates on them."""
 
     def __init__(self, p_poly, a):
-        self.prime = p_poly
-        self.exponent = a
-        fld = p_poly.field
-        self.field = fld
-        self.modulus = p_poly ** a
-        size = fld.q ** self.modulus.degree
-        if size > UNIT_ENUMERATION_BOUND:
-            raise BoundExceededError(
-                f"F_{fld.q}[T]/({self.modulus}) of size {size} exceeds the "
-                f"enumeration bound {UNIT_ENUMERATION_BOUND}")
-        k, m = fld.kernel, packed(self.modulus)
-
-        def mul(x, y):
-            return k.mod(k.mul(x, y), m)
-
-        gens, orders, dlog = abelian.abelian_basis(
-            unit_residues(self.modulus.degree, [p_poly]), 1, mul)
+        fld = self.field = p_poly.field
+        self.prime, self.modulus = p_poly, p_poly ** a
+        _check_enumeration_bound(self.modulus)
+        k, m, pm = fld.kernel, packed(self.modulus), packed(p_poly)
+        self._pow = lambda x, e: k.pow_mod(x, e, m)
+        self._mul = lambda x, y: k.mod(k.mul(x, y), m)
+        cyc = self._cyc = fld.q ** p_poly.degree - 1
+        wild = self._wild = (cyc + 1) ** (a - 1)
+        root = next(x for x in self._codes() if all(
+            k.pow_mod(x, cyc // l, pm) != 1 for l, _ in abelian.factorize(cyc)))
+        self._log = abelian.CyclicLog(  # root^e, e = 1 mod cyc, 0 mod wild
+            self._pow(root, wild * pow(wild, -1, cyc)), cyc, self._pow,
+            self._mul)
+        gens = [k.add(1, k.mul(x, packed(p_poly ** j)))
+                for j in range(1, a) for x in k.monomials(p_poly.degree)]
+        # layer k >= b of the 1-unit generators, 1 + c T^j P^k, is U^(b)
+        self.width = w = fld.s * p_poly.degree
+        self.one_units = tuple(from_packed(fld, g) for g in gens)
+        # per layer: P^k and the powers 0 .. p-1 of its generators' inverses
+        inverses = [list(itertools.accumulate(
+            [self._pow(g, wild - 1)] * (fld.p - 1), self._mul, initial=1))
+            for g in gens]
+        self._layers = [(packed(p_poly ** j), inverses[w * (j - 1):w * j])
+                        for j in range(1, a)]
+        diag, v = abelian.snf_with_transform(
+            [[cyc] + [0] * len(gens)] + [
+                [0] + [fld.p * (i == j) - e for j, e in
+                       enumerate(self._digits(self._pow(g, fld.p)))]
+                for i, g in enumerate(gens)], len(gens) + 1)
+        kept = [j for j, d in enumerate(diag) if d > 1]
+        group = abelian.FiniteAbelianGroup(tuple(diag[j] for j in kept))
+        v = [[row[j] for j in kept] for row in v]
+        gens, self.raw_orders, to_picks = abelian.greedy_basis(
+            group, lambda: ((x, group.reduce(_times(self._coordinates(x), v)))
+                            for x in self._codes()), self._pow, self._mul)
         self.raw_generators = tuple(from_packed(fld, g) for g in gens)
-        self.raw_orders = orders
-        self._dlog = dlog
+        self._to_raw = [_times(row, to_picks) for row in v]
+
+    def _codes(self):
+        """Kernel integers of the units modulo P^a, in code order."""
+        k, pm = self.field.kernel, packed(self.prime)
+        for code in range(1, self.field.q ** self.modulus.degree):
+            x = packed(poly_from_code(self.field, code))
+            if k.mod(x, pm):
+                yield x
+
+    def _digits(self, x):
+        """Base-p digits of the 1-unit x: at layer k, those of (x - 1) / P^k
+        mod P, then x divided by the generators to them."""
+        k, s, pm = self.field.kernel, self.field.s, packed(self.prime)
+        out = []
+        for pk, powers in self._layers:
+            slots = k._slots(k.mod(k.divmod(k.sub(x, 1), pk)[0], pm))
+            for i, row in enumerate(powers):
+                slot = k.stride * (i // s) + i % s
+                out.append(slots[slot] if slot < len(slots) else 0)
+                x = self._mul(x, row[out[-1]])
+        if x != 1:
+            raise RuntimeError("1-unit digits did not reach 1")
+        return out
+
+    def _coordinates(self, x):
+        """(log, digits) of the unit x: x^wild is the log's base to the
+        power wild log, and x^cyc has cyc times x's 1-unit digits."""
+        cyc, wild = self._cyc, self._wild
+        t = self._log(self._pow(x, wild)) * pow(wild, -1, cyc) if cyc > 1 else 0
+        return [t] + [d * pow(cyc, -1, wild) for d in (
+            self._digits(self._pow(x, cyc)) if self._layers else ())]
 
     def dlog_raw(self, residue):
         k = self.field.kernel
         x = k.mod(packed(residue), packed(self.modulus))
-        if x not in self._dlog:
+        if not k.mod(x, packed(self.prime)):
             raise ValueError(f"{residue} is not a unit modulo {self.modulus}")
-        return self._dlog[x]
+        return tuple(c % o for c, o in zip(
+            _times(self._coordinates(x), self._to_raw), self.raw_orders))
+
+
+def _times(vec, matrix):
+    """The integer row vector vec times matrix."""
+    return [sum(map(operator.mul, vec, col)) for col in zip(*matrix)]
 
 
 def unit_mask(degree, primes):
@@ -715,22 +783,15 @@ def unit_residues(degree, primes):
 
 
 class UnitGroupModN(abelian.CRTUnitGroup):
-    """(F_q[T]/<N>)* with invariant-factor structure and exact dlog/exp.
-
-    Built by CRT from the prime-power parts of N (`abelian.CRTUnitGroup`);
-    each part's generators are extracted by enumeration.
-    """
+    """(F_q[T]/<N>)* with invariant-factor structure and exact dlog/exp,
+    by CRT from the prime-power parts of N (`abelian.CRTUnitGroup`), each
+    built from its structure."""
 
     def __init__(self, factored_n):
-        self.factored = factored_n
         self.field = factored_n.field
         self.modulus = factored_n.modulus
         self.one = one(self.field)
-        size = self.field.q ** self.modulus.degree
-        if size > UNIT_ENUMERATION_BOUND:
-            raise BoundExceededError(
-                f"F_{self.field.q}[T]/({self.modulus}) of size {size} exceeds "
-                f"the enumeration bound {UNIT_ENUMERATION_BOUND}")
+        _check_enumeration_bound(self.modulus)
         self.crt_components = tuple(_prime_power_units(p_, a)
                                     for p_, a in factored_n.factors)
         self.idempotents = crt_idempotents(factored_n)
@@ -745,47 +806,27 @@ class UnitGroupModN(abelian.CRTUnitGroup):
 
     def dlog(self, residue):
         """Exponent vector of a unit on the canonical generators."""
-        raw = []
-        for comp in self.crt_components:
-            raw.extend(comp.dlog_raw(residue))
-        return self._presentation.to_canonical(raw)
+        return self._presentation.to_canonical(
+            [e for comp in self.crt_components for e in comp.dlog_raw(residue)])
 
 
 def crt_idempotents(factored_n):
     """The CRT idempotents of N, keyed by prime P: 1 modulo the power of P
-    in N, 0 modulo the rest."""
+    in N, 0 modulo the rest (the cofactor inverted by Euler's theorem)."""
     fld = factored_n.field
     k, n = fld.kernel, packed(factored_n.modulus)
     out = {}
     for p_, a in factored_n.factors:
-        pa = packed(p_ ** a)
+        pa, qd = packed(p_ ** a), fld.q ** p_.degree
         cof = k.divmod(n, pa)[0]
-        inv = _inverse(k, k.mod(cof, pa), pa)
+        inv = k.pow_mod(cof, qd ** a - qd ** (a - 1) - 1, pa)  # |units| - 1
         out[p_] = from_packed(fld, k.mod(k.mul(cof, inv), n))
     return out
 
 
-def _inverse(k, a, m):
-    """a^-1 modulo m, kernel integers, by the extended Euclidean
-    algorithm."""
-    r0, r1, s0, s1 = m, a, 0, 1
-    while r1:
-        quo, rem = k.divmod(r0, r1)
-        r0, r1, s0, s1 = r1, rem, s1, k.sub(s0, k.mul(quo, s1))
-    if k.degree(r0):
-        raise ZeroDivisionError("not invertible modulo the modulus")
-    return k.mod(k.mul(s0, k.inverse(r0)), m)
-
-
 @lru_cache(maxsize=256)
-def _prime_power_units_cached(p_code, a, q_p, q_s):
-    fld = fq_field(q_p, q_s)
-    return _PrimePowerUnits(poly_from_code(fld, p_code), a)
-
-
 def _prime_power_units(p_poly, a):
-    fld = p_poly.field
-    return _prime_power_units_cached(p_poly.code(), a, fld.p, fld.s)
+    return _PrimePowerUnits(p_poly, a)
 
 
 def unit_group_mod(factored_n):

@@ -44,7 +44,7 @@ def _random_character_group(rng, amb, max_gens=2):
 # 1. closed-form extended genus == exhaustive search
 
 def criterion_oracle_equivalence(bound=None):
-    n_max = _cap(120, bound)
+    n_max = _cap(250, bound)
     checked = 0
     for n in range(2, n_max + 1):
         amb = characters.numeric_ambient(n)

@@ -1,5 +1,6 @@
 """Tests for the finite abelian group lattice calculus."""
 
+import itertools
 import random
 from math import gcd, lcm, prod
 
@@ -386,6 +387,89 @@ class TestUnitGroups:
         for i, g in enumerate(gens):
             vec = u.dlog(g)
             assert vec == tuple(1 if j == i else 0 for j in range(u.group.rank))
+
+
+def _table_dlog(n):
+    """The brute-force reference: per prime power q of n, a table of the
+    exponent vectors of every unit mod q on that prime's generators."""
+    u = ab.unit_group(n)
+    tables = []
+    for p, a in ab.factorize(n):
+        q, gens = p ** a, ab._prime_power_generators(p, a)
+        table = {}
+        for exps in itertools.product(*(range(o) for _, o in gens)):
+            v = 1
+            for (g, _), e in zip(gens, exps):
+                v = v * pow(g, e, q) % q
+            table[v] = exps
+        tables.append((q, table))
+    return lambda x: u._presentation.to_canonical(
+        [e for q, table in tables for e in table[x % q]])
+
+
+def _sampled_table_entries(n, count, seed):
+    """Entries of the same table at random raw exponent vectors, for n too
+    large to tabulate: (unit, its exponents on the canonical generators)."""
+    u = ab.unit_group(n)
+    rng = random.Random(seed)
+    parts = [(p, p ** a, ab._prime_power_generators(p, a))
+             for p, a in ab.factorize(n)]
+    for _ in range(count):
+        raw, x = [], 0
+        for p, q, gens in parts:
+            exps = [rng.randrange(o) for _, o in gens]
+            v = 1
+            for (g, _), e in zip(gens, exps):
+                v = v * pow(g, e, q) % q
+            raw += exps
+            x += v * u.idempotents[p]
+        yield x % n, u._presentation.to_canonical(raw)
+
+
+class TestStructuralDlog:
+    """`UnitGroup.dlog` by Pohlig-Hellman against the residue tables."""
+
+    def test_every_unit_up_to_1500(self):
+        for n in range(2, 1501):
+            u, reference = ab.unit_group(n), _table_dlog(n)
+            for x in u.residues():
+                assert u.dlog(x) == reference(x), (n, x)
+
+    @pytest.mark.parametrize("n", [999983, 2 ** 19, 3 ** 12,
+                                   4 * 3 ** 5 * 7 * 11 * 13])
+    def test_large_moduli_on_samples(self, n):
+        u = ab.unit_group(n)
+        for x, vec in _sampled_table_entries(n, 400, n):
+            assert u.dlog(x) == vec
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(ValueError):
+            ab.unit_group(999983).dlog(0)
+        with pytest.raises(ValueError):
+            ab.unit_group(2 ** 19).dlog(6)
+
+
+class TestCyclicLog:
+    def test_every_power_of_a_primitive_root(self):
+        # 1019 is prime and 1018 = 2 * 509: one factor above the table
+        # limit, so a baby-step giant-step log
+        log = ab.CyclicLog(2, 1018, lambda x, e: pow(x, e, 1019),
+                           lambda x, y: x * y % 1019)
+        assert all(log(pow(2, e, 1019)) == e for e in range(1018))
+
+    def test_prime_power_order(self):
+        # (Z/3^7)* is cyclic of order 2 * 3^6 on the primitive root 2
+        q = 3 ** 7
+        log = ab.CyclicLog(2, 2 * 3 ** 6, lambda x, e: pow(x, e, q),
+                           lambda x, y: x * y % q)
+        assert all(log(pow(2, e, q)) == e for e in range(0, 2 * 3 ** 6, 7))
+
+    def test_outside_the_group(self):
+        # 4 generates the squares mod 11; 2 is not one
+        log = ab.CyclicLog(4, 5, lambda x, e: pow(x, e, 11),
+                           lambda x, y: x * y % 11)
+        with pytest.raises(ValueError):
+            log(2)
 
 
 class TestPrimePowerUnitLattice:

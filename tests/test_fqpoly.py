@@ -1,5 +1,6 @@
 """Tests for F_q and F_q[T] arithmetic, factorization, and unit groups."""
 
+import functools
 import random
 
 import pytest
@@ -450,3 +451,134 @@ class TestUnitGroups:
             vec = u.dlog(g)
             assert vec == tuple(1 if j == i else 0
                                 for j in range(u.group.rank))
+
+
+# ---------------------------------------------------------------------------
+# Structural unit groups against the greedy enumeration
+
+def abelian_basis(elements, identity, mul):
+    """The brute-force reference: independent generators of a finite
+    abelian group given by its full element list and group law.
+
+    Returns (gens, orders, dlog), the group the internal direct product
+    of the <gens[i]> and dlog every element's exponent vector.  Picks
+    greedily the first element of maximal order modulo the current span,
+    adjusted by the span coordinates of its power landing in the span.
+    The scan stops early only at an element whose coset order is the
+    order of the whole quotient, which no later element can exceed.
+    """
+    total = len(elements)
+
+    @functools.cache  # the scans of later rounds repeat the same powers
+    def power(x, e):
+        r = x if e & 1 else identity
+        e >>= 1
+        while e:
+            x = mul(x, x)
+            if e & 1:
+                r = mul(r, x)
+            e >>= 1
+        return r
+
+    primes = [l for l in range(2, total + 1) if total % l == 0
+              and all(l % m for m in range(2, l))]
+
+    def order_of(x):
+        o = total
+        for l in primes:
+            while o % l == 0 and power(x, o // l) == identity:
+                o //= l
+        return o
+
+    gens, orders, dlog = [], [], {identity: ()}
+    while len(dlog) < total:
+        best, best_c = None, 0
+        for b in elements:
+            if b in dlog:
+                continue
+            o = order_of(b)
+            c = next(c for c in range(1, o + 1)
+                     if o % c == 0 and power(b, c) in dlog)
+            if c > best_c:
+                best, best_c = b, c
+            if c == total // len(dlog):  # no coset order exceeds this
+                break
+        b, c = best, best_c
+        v = dlog[power(b, c)]
+        adjusted = b
+        for g, o, vi in zip(gens, orders, v):
+            assert vi % c == 0
+            adjusted = mul(adjusted, power(g, (-(vi // c)) % o))
+        span = list(dlog.items())
+        step = identity
+        for j in range(1, c):
+            step = mul(step, adjusted)
+            for x, vec in span:
+                dlog[mul(x, step)] = vec + (j,)
+        for x, vec in span:
+            dlog[x] = vec + (0,)
+        gens.append(adjusted)
+        orders.append(c)
+    return gens, orders, dlog
+
+
+def _assert_matches_enumeration(p_poly, a, checked=None):
+    """The structural build picks the greedy generators and orders, and its
+    dlog agrees with the enumerated table on every residue, or on
+    `checked` residues drawn at random."""
+    fld = p_poly.field
+    k = fld.kernel
+    units = fq._PrimePowerUnits(p_poly, a)
+    m = fq.packed(units.modulus)
+    gens, orders, dlog = abelian_basis(
+        fq.unit_residues(units.modulus.degree, [p_poly]), 1,
+        lambda x, y: k.mod(k.mul(x, y), m))
+    assert [fq.packed(g) for g in units.raw_generators] == gens
+    assert list(units.raw_orders) == orders
+    entries = sorted(dlog.items())
+    if checked is not None and checked < len(entries):
+        entries = random.Random(len(entries)).sample(entries, checked)
+    for x, vec in entries:
+        assert tuple(units.dlog_raw(fq.from_packed(fld, x))) == vec
+
+
+def _fields(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    s = 0
+    while p ** s < q:
+        s += 1
+    return fq.fq_field(p, s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_structural_units_match_greedy_enumeration(q):
+    # every P^a of size q^(deg P^a) <= 2^10 with a >= 2, and every prime
+    # P of size <= 2^8; of the primes above, whose units are cyclic and
+    # which number about 1100, three seeded ones per degree.  The dlog on
+    # every residue up to size 2^7, and on 16 random residues above.
+    fld = _fields(q)
+    rng = random.Random(q)
+    degree = 1
+    while q ** degree <= 2 ** 10:
+        primes = fq.monic_irreducibles(fld, degree)
+        if q ** degree > 2 ** 8:
+            primes = rng.sample(primes, min(3, len(primes)))
+        for p_poly in primes:
+            a = 1
+            while q ** (degree * a) <= 2 ** 10:
+                _assert_matches_enumeration(
+                    p_poly, a, None if q ** (degree * a) <= 2 ** 7 else 16)
+                a += 1
+        degree += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 64, 4096])
+def test_infinity_units_match_greedy_enumeration(q):
+    # the units at the infinite prime are (F_q[T]/T^n)*, of size
+    # (q - 1) q^(n - 1) <= 2^12; sizes up to 2^10 are in the sweep above
+    fld = _fields(q)
+    n = 1
+    while (q - 1) * q ** (n - 1) <= 2 ** 12:
+        if q ** n > 2 ** 10:
+            _assert_matches_enumeration(fq.variable(fld), n)
+        n += 1

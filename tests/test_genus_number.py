@@ -1,5 +1,6 @@
 """Genus and extended genus fields of abelian number fields."""
 
+import math
 import random
 
 import pytest
@@ -54,6 +55,62 @@ def test_genus_contains_field_and_extended_contains_genus():
         assert genus.contains(ch.Character(x.ambient, x.generators()[0].exponents))
         assert extended.order % genus.order == 0
         assert extended.order // genus.order in (1, 2)
+
+
+def _prime_discriminants(d):
+    """The prime discriminants p* whose product is the fundamental
+    discriminant d: (-1)^((p-1)/2) p at odd p, and -4, 8 or -8 at 2."""
+    odd = [p if p % 4 == 1 else -p
+           for p, _ in abelian.factorize(abs(d)) if p > 2]
+    rest = d
+    for p in odd:
+        rest //= p
+    return odd + ([rest] if rest != 1 else [])
+
+
+def test_gauss_genus_theory_at_scale():
+    # the narrow genus field of Q(sqrt d) is Q(sqrt p_1*, ..., sqrt p_t*),
+    # so the extended genus has degree 2^(t-1) over K, and for d > 0 the
+    # genus field drops to the real part exactly when some p_i* < 0
+    rng = random.Random(9)
+    seen = 0
+    while seen < 60:
+        d = rng.choice((-1, 1)) * rng.randrange(10 ** 5, 10 ** 6)
+        if not ch.is_fundamental_discriminant(d):
+            continue
+        seen += 1
+        stars = _prime_discriminants(d)
+        report = gn.build_report(quadratic_group(d))
+        assert report.extended_degree_over_k == 2 ** (len(stars) - 1), d
+        assert report.gap == (2 if d > 0 and min(stars) < 0 else 1), d
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_ishida_cyclic_odd_prime_degree(ell):
+    # a cyclic field of odd prime degree ell ramified at t primes has
+    # extended genus order ell^t (Ishida, LNM 555, 1976); it can ramify
+    # at ell itself (conductor ell^2) and at primes = 1 mod ell
+    rng = random.Random(ell)
+    primes = [p for p in range(3, 100)
+              if p % ell == 1 and abelian.factorize(p) == [(p, 1)]]
+    for t in (1, 2, 3):
+        for _ in range(4):
+            chosen = rng.sample([ell] + primes, t)
+            levels = [p ** (2 if p == ell else 1) for p in chosen]
+            amb = ch.numeric_ambient(math.prod(levels))
+            chi = ch.Character(amb, amb.group.identity)
+            for m in levels:
+                sub = ch.numeric_ambient(m)
+                d, = sub.group.invariant_factors
+                chi = chi * ch.inflate_to_modulus(ch.Character(
+                    sub, (d // ell * rng.randrange(1, ell),)), amb)
+            x = ch.character_group(amb, [chi])
+            assert x.order == ell
+            report = gn.build_report(x)
+            assert sorted(key for key, e, *_ in report.primes if e > 1) \
+                == sorted(chosen)
+            assert report.extended_degree_over_k * ell == ell ** t
+            assert report.gap == 1
 
 
 def test_cyclotomic_fields_are_their_own_genus():
