@@ -619,6 +619,16 @@ class CRTUnitGroup:
         self._presentation = GeneratorPresentation(raw_orders)
         self.group = self._presentation.group
 
+    def one_units(self, key, b):
+        """dlog vectors generating the units = 1 modulo key^b at the prime
+        `key` and = 1 at the others, with no residue and no dlog: its raw
+        vectors for level b (all its raw generators at b = 0), padded by
+        zeros at the other primes' raw coordinates, before and after."""
+        at = [i for i, k in enumerate(self._raw_keys) if k == key]
+        local = self._level_raw(key, b) if b else _diagonal([1] * len(at))
+        return [self._presentation.to_canonical([0] * at[0] + list(r) + [0] * (
+            len(self._raw_keys) - 1 - at[-1])) for r in local]
+
     def component_part(self, key, vec):
         """dlog of eps_key(exp(vec)), 1 off the prime `key`, without a
         dlog: the raw generators are CRT lifts, so it is `vec` with every
@@ -677,6 +687,16 @@ class UnitGroup(CRTUnitGroup):
     def residues(self):
         n = self.modulus
         return (u for u in range(1, n) if gcd(u, n) == 1)
+
+    def _level_raw(self, p, b):
+        """U^(b), b >= 1, of (Z/p^a)* on its raw generators: the power
+        (p - 1) p^(b - 1) of the primitive root for odd p; at 2^a all of
+        it for b = 1, then 5^(2^(b - 2)); nothing from b = a on."""
+        if p == 2 and b == 1:
+            return _diagonal([1] * self._raw_keys.count(2))
+        if b >= dict(self.factorization)[p]:
+            return []
+        return [[0, 2 ** (b - 2)] if p == 2 else [(p - 1) * p ** (b - 1)]]
 
     def dlog(self, u):
         """Exponent vector of the unit u on the canonical generators."""

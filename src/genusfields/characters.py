@@ -7,9 +7,10 @@ values are exponents of an abstract root of unity, never floats, so
 equality is exact.
 
 The two ambient kinds (integer modulus, polynomial modulus) expose the
-same surface: unit group with dlog/exp, CRT components per prime, and
-generators of each component's 1-units U^(b), from which conductors are
-read one prime at a time.
+same surface: a unit group with dlog/exp and the CRT components, one per
+prime.  The unit group (`abelian.CRTUnitGroup`) gives the 1-units U^(b)
+of each prime as dlog vectors read off its presentation, from which
+conductors are read one prime at a time.
 """
 
 from __future__ import annotations
@@ -27,19 +28,25 @@ from .errors import AmbientMismatchError, SchemaError
 
 @dataclass(frozen=True)
 class Component:
-    """One prime-power block of an ambient modulus under CRT."""
+    """One prime-power block key^exponent of an ambient modulus under CRT."""
 
     key: object          # the prime: an integer p or a monic irreducible
-    ambient: object      # ambient for the prime-power block
+    exponent: int
+
+    @property
+    def modulus(self):
+        return self.key ** self.exponent
 
 
 class _UnitAmbient:
     """What the two ambient kinds share: a unit group `units`, an
-    `abelian.CRTUnitGroup` with dlog, exp and a table of CRT idempotents,
-    and one cached matrix R_p per component for the split of the dual
-    into its p-components, read off the presentation.  `residues` stays
-    on each kind, where perfbench/tracing.py wraps it.  The function kind mod T^n also models
-    the units at the infinite prime (`genus_function.InfinityUnits`)."""
+    `abelian.CRTUnitGroup` with dlog, exp, the 1-units U^(b) of each prime
+    (`one_units`) and the CRT idempotents; the components, one per prime
+    of `factorization`; one cached matrix R_p per component for the split
+    of the dual, read off the presentation.  Each kind keeps `residues`,
+    which perfbench/tracing.py wraps, and `component_ambient`, the ambient
+    of one component for the reference paths only.  The function kind mod
+    T^n also models the units at infinity (`genus_function.InfinityUnits`)."""
 
     def __init__(self, units):
         self.units = units
@@ -56,8 +63,11 @@ class _UnitAmbient:
     def generators(self):
         return self.units.generators
 
+    def components(self):
+        return tuple(Component(key, a) for key, a in self.factorization)
+
     def project(self, component, u):
-        return u % component.ambient.modulus
+        return u % component.modulus
 
     def lift(self, component, u):
         """Residue agreeing with u at the component and 1 elsewhere."""
@@ -118,25 +128,12 @@ class NumericAmbient(_UnitAmbient):
         -1, whose class is complex conjugation."""
         return (self.minus_one,)
 
-    def components(self):
-        return tuple(Component(p, numeric_ambient(p ** a))
-                     for p, a in self.factorization)
-
-    def one_units(self, component, b):
-        """Residues mod n generating the units = 1 mod p^b at the
-        component and = 1 at the other components."""
-        p, a = component.ambient.factorization[0]
-        if b == 0 or (p == 2 and b == 1):  # (Z/2^a)* -> (Z/2)* is trivial
-            gens = component.ambient.generators
-        else:
-            gens = (1 + p ** b,) if b < a else ()
-        return tuple(self.lift(component, g) for g in gens)
+    def component_ambient(self, component):
+        return numeric_ambient(component.modulus)
 
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the divisor m."""
-        if m == 1:
-            return list(self.residues())
-        return [u for u in self.residues() if u % m == 1]
+        return [u for u in self.residues() if u % m == 1 % m]
 
 
 class FunctionFieldAmbient(_UnitAmbient):
@@ -145,7 +142,7 @@ class FunctionFieldAmbient(_UnitAmbient):
     kind = "function"
 
     def __init__(self, factored_n):
-        self.factored = factored_n
+        self.factorization = factored_n.factors
         self.field = factored_n.field
         self.modulus = factored_n.modulus
         super().__init__(fqpoly.unit_group_mod(factored_n))
@@ -153,10 +150,9 @@ class FunctionFieldAmbient(_UnitAmbient):
     def residues(self):
         return self.units.residues()
 
-    def components(self):
-        return tuple(
-            Component(p_, ff_ambient(fqpoly.factored(self.field, [(p_, a)])))
-            for p_, a in self.factored.factors)
+    def component_ambient(self, component):
+        return ff_ambient(fqpoly.factored(
+            self.field, [(component.key, component.exponent)]))
 
     def units_at_infinity(self):
         """Generators of the image of the units at the infinite prime: the
@@ -168,20 +164,8 @@ class FunctionFieldAmbient(_UnitAmbient):
                  if all(fld.pow(c, (fld.q - 1) // l) != 1 for l in primes))
         return (fqpoly.poly(fld, (c,)),)
 
-    def one_units(self, component, b):
-        """Residues mod N generating the units = 1 mod P^b at the
-        component and = 1 at the other components: 1 + x*P^k for
-        b <= k < a and x in an F_p-basis c*T^j of F_q[T]/P, the layers
-        of `fqpoly._PrimePowerUnits`."""
-        units, = component.ambient.units.crt_components
-        gens = component.ambient.generators if b == 0 else \
-            units.one_units[units.width * (b - 1):]
-        return tuple(self.lift(component, g) for g in gens)
-
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the monic divisor m."""
-        if m.degree == 0:
-            return list(self.residues())
         return [u for u in self.residues()
                 if ((u - fqpoly.one(self.field)) % m).is_zero]
 
@@ -279,10 +263,10 @@ def conductor(chi):
 
 def restrict_to_component(chi, component):
     """The component chi_p: chi composed with the CRT lift into p-part."""
-    sub = component.ambient
     amb = chi.ambient
+    sub = amb.component_ambient(component)
     e = amb.group.exponent
-    e_sub = sub.group.exponent if sub.group.rank else 1
+    e_sub = sub.group.exponent
     values = []
     for g in sub.generators:
         t = chi.value_exponent(amb.lift(component, g))
@@ -295,11 +279,9 @@ def restrict_to_component(chi, component):
 
 def inflate_from_component(psi, ambient, component):
     """View a component character as a character of the full modulus."""
-    sub = component.ambient
-    e_sub = sub.group.exponent if sub.group.rank else 1
     values = [psi.value_exponent(ambient.project(component, g))
               for g in ambient.generators]
-    return character_from_values(ambient, values, e_sub)
+    return character_from_values(ambient, values, psi.ambient.group.exponent)
 
 
 def inflate_to_modulus(chi, target_ambient):
@@ -476,7 +458,8 @@ def component_decompose(x):
     for component in x.ambient.components():
         comps = [restrict_to_component(chi, component)
                  for chi in x.generators()]
-        out[component.key] = character_group(component.ambient, comps)
+        out[component.key] = character_group(
+            x.ambient.component_ambient(component), comps)
     return out
 
 
@@ -528,14 +511,15 @@ def ramification_exponents(x):
 def conductor_exponents(x):
     """Per prime key of the modulus, its exponent f in the conductor of the
     field cut out by X: the least level b whose 1-units U^(b) every
-    generator of X kills (so every member of X does)."""
+    generator of X kills (so every member of X does), as dlog vectors
+    read off the presentation (`abelian.CRTUnitGroup.one_units`)."""
     amb = x.ambient
     gens = [chi.exponents for chi in x.generators()]
     out = {}
     for component in amb.components():
         b = 0
         while any(amb.group.pairing(vec, v)
-                  for v in map(amb.dlog, amb.one_units(component, b))
+                  for v in amb.units.one_units(component.key, b)
                   for vec in gens):
             b += 1
         out[component.key] = b

@@ -142,7 +142,7 @@ ABELIAN_KINDS = ("number-abelian", "number-quadratic", "function-abelian")
 
 
 def _need(doc, key, types, where="document"):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where} is missing the {key!r} field")
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
@@ -303,9 +303,11 @@ def _local_number_payload(doc, bound, level_flag):
             f"--level {level_flag} does not match the document level {level}")
     if level < 1:
         raise SchemaError(f"level must be at least 1, got {level}")
-    if p > abelian.UNIT_GROUP_BOUND:
-        raise BoundExceededError(f"prime {p} exceeds the unit-group bound "
-                                 f"{abelian.UNIT_GROUP_BOUND}")
+    # p^level for a p that may be prime, without a huge power
+    if max(p, 1) ** min(level, abelian.UNIT_GROUP_BOUND.bit_length()) \
+            > abelian.UNIT_GROUP_BOUND:
+        raise BoundExceededError(f"modulus {p}^{level} exceeds the unit-group "
+                                 f"bound {abelian.UNIT_GROUP_BOUND}")
     if abelian.factorize(p) != [(p, 1)]:
         raise SchemaError(f"p = {p} is not a prime")
     _check_bound((p - 1) * p ** (level - 1), bound)
@@ -353,7 +355,8 @@ def _local_function_payload(doc, bound, level_flag):
     if level_flag is not None and level_flag != n_max:
         raise SchemaError(
             f"--level {level_flag} does not match the document n_max {n_max}")
-    _check_bound((fld.q - 1) * fld.q ** max(n_max - 1, 0), bound)
+    if n_max <= 14:  # beyond, InfinityUnits refuses every q by size
+        _check_bound((fld.q - 1) * fld.q ** max(n_max - 1, 0), bound)
     infinity = genus_function.InfinityUnits(fld, n_max)
     entries = doc.get("primes")
     if not isinstance(entries, list) or not entries:

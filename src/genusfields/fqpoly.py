@@ -696,9 +696,7 @@ class _PrimePowerUnits:
             self._mul)
         gens = [k.add(1, k.mul(x, packed(p_poly ** j)))
                 for j in range(1, a) for x in k.monomials(p_poly.degree)]
-        # layer k >= b of the 1-unit generators, 1 + c T^j P^k, is U^(b)
-        self.width = w = fld.s * p_poly.degree
-        self.one_units = tuple(from_packed(fld, g) for g in gens)
+        w = fld.s * p_poly.degree
         # per layer: P^k and the powers 0 .. p-1 of its generators' inverses
         inverses = [list(itertools.accumulate(
             [self._pow(g, wild - 1)] * (fld.p - 1), self._mul, initial=1))
@@ -808,6 +806,13 @@ class UnitGroupModN(abelian.CRTUnitGroup):
         """Exponent vector of a unit on the canonical generators."""
         return self._presentation.to_canonical(
             [e for comp in self.crt_components for e in comp.dlog_raw(residue)])
+
+    def _level_raw(self, key, b):
+        """U^(b), b >= 1, of (F_q[T]/P^a)* on its raw generators: the raw
+        dlogs of the layer generators 1 + c T^j P^k, k >= b, which are the
+        rows of `_PrimePowerUnits._to_raw` from digit s deg(P) (b - 1) on."""
+        comp = next(c for c in self.crt_components if c.prime == key)
+        return comp._to_raw[1 + self.field.s * key.degree * (b - 1):]
 
 
 def crt_idempotents(factored_n):

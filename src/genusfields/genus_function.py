@@ -326,14 +326,17 @@ class InfinityUnits:
     truncated at pi^n_max.  Under pi -> T the quotient is the unit group
     of F_q[[pi]]/(pi^n_max) = F_q[T]/(T^n_max) (Hayes, Trans. AMS 189,
     1974), so the pair is the unit c (1 + a_1 T + ...) of the ambient
-    mod T^n_max, and U^(n) is that ambient's 1-units at level n.
+    mod T^n_max, and U^(n) is that unit group's 1-units at level n.
     """
 
     def __init__(self, fld, n_max):
         if n_max < 1:
             raise SchemaError("n_max must be at least 1")
-        size = (fld.q - 1) * fld.q ** (n_max - 1)
-        if size > 2 ** 12:
+        # the size is at least 2^(n_max - 1), so beyond n_max = 14 it is
+        # named, not formed: n_max may be huge
+        size = (fld.q - 1) * fld.q ** (n_max - 1) if n_max <= 14 else \
+            f"{fld.q - 1}*{fld.q}^{n_max - 1}"
+        if n_max > 14 or size > 2 ** 12:
             raise BoundExceededError(
                 f"infinite-prime quotient F_{fld.q}* x U^(1)/U^({n_max}) of "
                 f"size {size} exceeds the bound {2 ** 12}")
@@ -359,10 +362,9 @@ class InfinityUnits:
     def one_units_subgroup(self, n):
         """Image of U^(n): 1-units congruent to 1 modulo pi^n (n >= 1);
         n = 0 gives the whole quotient."""
-        amb = self.ambient
-        component, = amb.components()
+        (t, _), = self.ambient.factorization
         return abelian.subgroup_from_generators(
-            self.group, [amb.dlog(u) for u in amb.one_units(component, n)])
+            self.group, self.ambient.units.one_units(t, n))
 
 
 @dataclass(frozen=True)

@@ -148,11 +148,11 @@ def lp_degree_is_stable(data):
     congruent to 1 modulo p^(level-1); then raising the level cannot
     change the index.
     """
-    amb = characters.numeric_ambient(data.p ** data.level)
+    units = abelian.unit_group(data.p ** data.level)
     prod_sub = reduce(abelian.product,
                       [rec.norm_subgroup for rec in data.primes_above])
-    return all(prod_sub.contains(amb.dlog(u))
-               for u in amb.one_units(amb.components()[0], data.level - 1))
+    return all(map(prod_sub.contains,
+                   units.one_units(data.p, data.level - 1)))
 
 
 def tame_degree(p, ramification_indices):
@@ -214,8 +214,8 @@ def classify_l2(h, modulus, m=None):
 
     if h.contains(amb.dlog(amb.minus_one)):
         return L2Classification(PLUS_FIELD, m, f"Q(zeta_{2 ** (m + 2)})^+")
-    kernel = abelian.subgroup_from_generators(amb.group, [
-        amb.dlog(u) for u in amb.one_units(amb.components()[0], m + 1)])
+    kernel = abelian.subgroup_from_generators(
+        amb.group, amb.units.one_units(2, m + 1))
     if h == kernel:
         return L2Classification(FULL_CYCLOTOMIC, m, f"Q(zeta_{2 ** (m + 1)})")
     if k < m + 2:

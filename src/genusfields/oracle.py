@@ -87,27 +87,11 @@ def _value_tables(ambient):
     duals = list(g.elements())
     tables = {}
     for component in ambient.components():
-        sub_amb = component.ambient
-        if ambient.kind == "number":
-            cof = ambient.modulus // sub_amb.modulus
-            block = [u for u in ambient.residues() if u % cof == 1] \
-                if cof > 1 else list(ambient.residues())
-        else:
-            cof = ambient.modulus // sub_amb.modulus
-            if cof.degree == 0:
-                block = list(ambient.residues())
-            else:
-                block = [u for u in ambient.residues()
-                         if ((u - _ff_one(ambient)) % cof).is_zero]
+        block = ambient.reduction_kernel(ambient.modulus // component.modulus)
         logs = [ambient.dlog(u) for u in block]
         tables[component.key] = {
             v: tuple(g.pairing(v, lg) for lg in logs) for v in duals}
     return tables
-
-
-def _ff_one(ambient):
-    from . import fqpoly
-    return fqpoly.one(ambient.field)
 
 
 def _parity_vector(ambient):

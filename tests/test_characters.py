@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genusfields import abelian, characters as ch, fqpoly
-from genusfields import genus_number as gn
+from genusfields import genus_function as gf, genus_number as gn
 from genusfields.errors import SchemaError
 
 
@@ -151,7 +151,7 @@ def test_component_restriction_preserves_values(n):
         chi = ch.Character(amb, vec)
         for component in amb.components():
             psi = ch.restrict_to_component(chi, component)
-            sub = component.ambient
+            sub = amb.component_ambient(component)
             e = amb.group.exponent
             e_sub = sub.group.exponent if sub.group.rank else 1
             for u in sub.residues():
@@ -256,15 +256,8 @@ def test_component_split_matches_restrict_then_inflate(data):
                 == ch.component_decompose(x)[component.key].order)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ch.NumericAmbient(2 ** 4 * 3 ** 2 * 5 * 7),
-    lambda: ch.FunctionFieldAmbient(fqpoly.factor_modulus(
-        fqpoly.poly(fqpoly.fq_field(3), (0, 1, 0, 2, 0, 1))))],
-    ids=["numeric", "function"])
-def test_component_split_dlogs_once_per_generator_and_prime(monkeypatch,
-                                                            make):
-    """The split reads R_p off the presentation: no dlog at all, and the
-    same matrix as the dlog-based construction."""
+def _count_dlogs(monkeypatch):
+    """The residues passed to either kind's unit-group dlog from now on."""
     calls = []
     for owner in (abelian.UnitGroup, fqpoly.UnitGroupModN):
         dlog = owner.dlog
@@ -274,6 +267,19 @@ def test_component_split_dlogs_once_per_generator_and_prime(monkeypatch,
             return dlog(self, u)
 
         monkeypatch.setattr(owner, "dlog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ch.NumericAmbient(2 ** 4 * 3 ** 2 * 5 * 7),
+    lambda: ch.FunctionFieldAmbient(fqpoly.factor_modulus(
+        fqpoly.poly(fqpoly.fq_field(3), (0, 1, 0, 2, 0, 1))))],
+    ids=["numeric", "function"])
+def test_component_split_dlogs_once_per_generator_and_prime(monkeypatch,
+                                                            make):
+    """The split reads R_p off the presentation: no dlog at all, and the
+    same matrix as the dlog-based construction."""
+    calls = _count_dlogs(monkeypatch)
     ch.component_split.cache_clear()
     amb = make()  # a new instance: no component matrix cached yet
     x = ch.full_dual(amb)
@@ -382,7 +388,7 @@ def test_ff_conductor_drops_unramified_factor():
     comps = list(amb.components())
     for component in comps:
         other = [c for c in comps if c is not component][0]
-        sub = component.ambient
+        sub = amb.component_ambient(component)
         psi = ch.Character(sub, (1,))
         chi = ch.inflate_from_component(psi, amb, component)
         assert ch.conductor(chi) == component.key
@@ -394,7 +400,7 @@ def test_ff_component_values_match():
         chi = ch.Character(amb, vec)
         for component in amb.components():
             psi = ch.restrict_to_component(chi, component)
-            sub = component.ambient
+            sub = amb.component_ambient(component)
             e = amb.group.exponent
             e_sub = sub.group.exponent if sub.group.rank else 1
             for u in sub.residues():
@@ -422,7 +428,7 @@ def _divisor_kernels(amb):
         divs = [d for d in range(1, n + 1) if n % d == 0]
     else:
         divs = [fqpoly.one(amb.field)]
-        for p_, a in amb.factored.factors:
+        for p_, a in amb.factorization:
             powers = [fqpoly.one(amb.field)]
             for _ in range(a):
                 powers.append(powers[-1] * p_)
@@ -495,22 +501,75 @@ def _ff_ambient(q, coeffs):
     _ff_ambient(2, (0, 0, 0, 1, 1, 0, 1, 1)),   # T^3 (T + 1)^2 (T^2 + T + 1)
     _ff_ambient(3, (0, 1, 0, 2, 0, 1)),         # T (T^2 + 1)^2
     _ff_ambient(4, (0, 0, 1, 1)),               # T^2 (T + 1)
-    _ff_ambient(4, (0, 0, 1, 3, 1))],           # T^2 (T^2 + 3*T + 1)
+    _ff_ambient(4, (0, 0, 1, 3, 1)),            # T^2 (T^2 + 3*T + 1)
+    _ff_ambient(5, (4, 0, 4, 0, 1)),            # (T^2 + 2)^2
+    _ff_ambient(7, (0, 1, 2, 1)),               # T (T + 1)^2
+    _ff_ambient(8, (0, 1, 0, 1)),               # T (T + 1)^2
+    _ff_ambient(9, (0, 0, 2, 1))],              # T^2 (T + 2)
     ids=repr)
 def test_one_units_generate_the_congruence_subgroups(amb):
-    # one_units(component, b) generates the units = 1 mod key^b at the
-    # component (= 1 at level b >= a) and = 1 at the other components
+    # units.one_units(key, b) generates the units = 1 mod key^b at the
+    # prime key (= 1 at level b >= a) and = 1 at the other primes
     number = amb.kind == "number"
     for component in amb.components():
-        q = component.ambient.modulus
+        q = component.modulus
         power = 1 if number else fqpoly.one(amb.field)
-        for b in range(6):
+        for b in range(component.exponent + 2):
             level = math.gcd(power, q) if number else fqpoly.poly_gcd(power, q)
             expected = set(amb.reduction_kernel(level * (amb.modulus // q)))
             generated = abelian.subgroup_from_generators(
-                amb.group, [amb.dlog(u) for u in amb.one_units(component, b)])
+                amb.group, amb.units.one_units(component.key, b))
             assert {amb.exp(vec) for vec in generated.elements()} == expected
             power = power * component.key
+
+
+_REPORT_AMBIENTS = [
+    lambda: ch.NumericAmbient(2 ** 4 * 3 ** 2 * 5 * 7),
+    lambda: ch.FunctionFieldAmbient(fqpoly.factor_modulus(
+        fqpoly.poly(fqpoly.fq_field(3), (0, 1, 0, 2, 0, 1))))]
+
+
+@pytest.mark.parametrize("make", _REPORT_AMBIENTS, ids=["numeric", "function"])
+def test_filtration_paths_take_no_dlog(monkeypatch, make):
+    """Conductors, level stability, L_2 and U^(n) at infinity read U^(b)
+    off the presentation; a report's only dlogs are of the units at
+    infinity, once each, and L_2's is of -1."""
+    amb = make()  # a new instance: no component matrix cached yet
+    x = ch.full_dual(amb)
+    small = ch.character_group(amb, [ch.Character(amb, amb.group.reduce(
+        (1,) * amb.group.rank))])
+    units27, units16 = abelian.unit_group(27), abelian.unit_group(16)
+    stable = gn.LocalPrimeData(3, 3, (gn.PrimeAboveData(
+        2, 1, abelian.subgroup_from_generators(units27.group, [(2,)])),))
+    h16 = abelian.subgroup_from_generators(units16.group, [(0, 1)])
+    inf = gf.InfinityUnits(fqpoly.fq_field(3), 4)
+    ch.component_split.cache_clear()
+    calls = _count_dlogs(monkeypatch)
+    for y in (x, small):
+        ch.conductor_exponents(y)
+    assert gn.lp_degree_is_stable(stable)
+    assert [inf.one_units_subgroup(n).order for n in range(5)] \
+        == [54, 27, 9, 3, 1]
+    assert calls == []
+    assert gn.classify_l2(h16, 16).tag == gn.FULL_CYCLOTOMIC
+    assert calls == [15]
+    del calls[:]
+    gn.build_report(small)
+    assert calls == list(amb.units_at_infinity())
+
+
+@pytest.mark.parametrize("make", _REPORT_AMBIENTS, ids=["numeric", "function"])
+def test_report_builds_no_component_ambient(monkeypatch, make):
+    amb = make()
+    x = ch.full_dual(amb)
+    built = []
+    for name in ("numeric_ambient", "ff_ambient"):
+        build = getattr(ch, name)
+        monkeypatch.setattr(ch, name, lambda *a, build=build:
+                            built.append(a) or build(*a))
+    report = gn.build_report(x)
+    assert built == []
+    assert len(report.primes) == len(amb.components()) > 1
 
 
 def test_plus_part_is_the_even_characters():

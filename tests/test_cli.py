@@ -1,12 +1,16 @@
 """The genusctl command line: parsing, reports, determinism, exit codes."""
 
+import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from genusfields import abelian, characters, cli, genus_number
 from genusfields.errors import SchemaError
@@ -425,6 +429,122 @@ def test_abelian_reports_do_not_enumerate_characters(monkeypatch, command,
     assert code == 0
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# Fuzz gate: valid and mutated descriptor documents
+
+SPECS = sorted(name for name in os.listdir(SCRIPTS) if name.endswith(".toml"))
+MUTATIONS = {
+    "wrong type": ["x", True, [1], 1],
+    "out of range": [-1, 0, 99, 10 ** 6 + 1],
+    "huge integer": [10 ** 30, -(10 ** 30), 2 ** 64 + 1],
+    "empty array": [[]],
+}
+
+
+def _render(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_render, value)) + "]"
+    return str(value)
+
+
+def _render_document(doc):
+    """The document text of a parsed descriptor: arrays of tables last."""
+    lines, tables = [], []
+    for key, value in doc.items():
+        if isinstance(value, list) and value \
+                and all(isinstance(v, dict) for v in value):
+            for entry in value:
+                tables += ["", f"[[{key}]]"] + [
+                    f"{k} = {_render(v)}" for k, v in entry.items()]
+        else:
+            lines.append(f"{key} = {_render(value)}")
+    return "\n".join(lines + tables) + "\n"
+
+
+def _slots(value, path=()):
+    """Paths to every value inside a parsed document but the root."""
+    if path:
+        yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield from _slots(v, path + (key,))
+
+
+@st.composite
+def _documents(draw):
+    """(command, document, mutations): a script, unchanged or with one or
+    two values dropped or replaced."""
+    with open(os.path.join(SCRIPTS, draw(st.sampled_from(SPECS))),
+              encoding="utf-8") as fh:
+        doc = cli.parse_document(fh.read())
+    command = doc["kind"].split("-")[0]
+    kinds = draw(st.lists(st.sampled_from(["dropped key"] + sorted(MUTATIONS)),
+                          max_size=2))
+    for kind in kinds:
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        *parent, last = draw(st.sampled_from(slots))
+        node = doc
+        for key in parent:
+            node = node[key]
+        if kind == "dropped key":
+            del node[last]
+        elif isinstance(node[last], dict):
+            node.clear()  # a table of an array of tables loses every key
+        else:
+            node[last] = draw(st.sampled_from(MUTATIONS[kind]))
+    return command, doc, kinds
+
+
+def _run_captured(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(args)
+    return code, out, err.getvalue()
+
+
+# documents that once hung in a huge power or crashed on a non-table
+@example(("number", {"kind": "number-local", "p": 2, "level": 10 ** 30,
+                     "primes": [{"e": 4, "f": 1, "norm_residues": [15]}]},
+          ["huge integer"]))
+@example(("function", {"kind": "function-local", "q": 3, "n_max": 10 ** 30,
+                       "primes": [{"e": 4, "t": 3}]}, ["huge integer"]))
+@example(("number", {"kind": "number-local", "p": 2, "level": 4,
+                     "primes": [1]}, ["wrong type"]))
+@given(_documents())
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_cli_fuzz_exits_cleanly_and_agrees_with_the_oracle(case):
+    """Every document exits 0, 2, 3 or 4 without a traceback; a valid
+    abelian one with |G| <= 32 agrees with the oracle."""
+    command, doc, kinds = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.toml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_render_document(doc))
+        code, out, err = _run_captured([command, "--spec", path, "--json"])
+        assert code in (0, 2, 3, 4), (kinds, doc, err)
+        assert "Traceback" not in err
+        if kinds or doc["kind"] not in cli.ABELIAN_KINDS:
+            return
+        assert code == 0
+        order = math.prod(int(c) for c in json.loads(out)["unit_group"]
+                          .replace("C", "").split(" x "))
+        if order <= 32:
+            code, out, err = _run_captured(["oracle", "--spec", path,
+                                            "--json"])
+            payload = json.loads(out)
+            assert code == 0 and "Traceback" not in err
+            assert [payload[k] for k in payload
+                    if k.endswith("_matches_closed_form")] in ([True],
+                                                               [True, True])
 
 
 def test_console_script_is_installed():

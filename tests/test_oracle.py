@@ -35,21 +35,11 @@ def test_enumerated_sets_are_subgroups():
         assert g.order % len(s) == 0
 
 
-def _bfs_join(group, a, b):
-    """The join of two subgroup element sets by breadth-first closure
-    under adding every element of a | b: the reference for the coset
-    join."""
-    gens = list(a | b)
-    out = set(a | b)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.add(x, g)
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-    return frozenset(out)
+def _sumset_join(group, a, b):
+    """The join of two subgroup element sets as their sumset
+    {x + y : x in a, y in b}, itself a subgroup: the reference for the
+    coset join."""
+    return frozenset(group.add(x, y) for x in a for y in b)
 
 
 def _bfs_subgroups(group):
@@ -61,7 +51,7 @@ def _bfs_subgroups(group):
         for c in cyclics:
             if c <= s:
                 continue
-            j = _bfs_join(group, s, c)
+            j = _sumset_join(group, s, c)
             if j not in subgroups:
                 subgroups.add(j)
                 frontier.append(j)
