@@ -15,15 +15,16 @@ scalar arithmetic takes the same path.  The unit groups, the idele check
 and the Carlitz recurrence work on kernel integers directly; `packed`
 and `from_packed` convert.
 
-Includes irreducibility testing, trial-division factorization of moduli,
-and the unit groups (F_q[T]/<N>)* with exact discrete logarithms, built
-by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`).
+Includes irreducibility testing, Cantor-Zassenhaus factorization of
+moduli, and the unit groups (F_q[T]/<N>)* with exact discrete logarithms,
+built by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import random
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -36,17 +37,6 @@ from .errors import AmbientMismatchError, BoundExceededError, SchemaError
 FIELD_SIZE_BOUND = 2 ** 16
 UNIT_ENUMERATION_BOUND = 2 ** 20
 _TYPECODES = {16: "H", 32: "I", 64: "Q"}   # slot width in bits -> array code
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _repeat(pattern, period, bits):
@@ -248,6 +238,17 @@ class Kernel:
                 x = self.mod(self.mul(x, x), m)
         return out
 
+    def monic(self, x):
+        """x divided by its leading coefficient; 0 stays 0."""
+        lead = x >> self.group * max(self.degree(x), 0)
+        return x if lead <= 1 else self.mul(x, self.inverse(lead))
+
+    def gcd(self, a, b):
+        """The monic greatest common divisor of a and b, by Euclid."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
     def frobenius(self, x, e):
         """x(T^e): coefficient i moves to degree e i."""
         slots, g = self._slots(x), self.stride
@@ -290,7 +291,7 @@ class FqField:
     """
 
     def __init__(self, p, s=1):
-        if not _is_prime(p):
+        if abelian.factorize(p) != [(p, 1)]:
             raise SchemaError(f"{p} is not prime")
         if s < 1 or p ** s > FIELD_SIZE_BOUND:
             raise BoundExceededError(
@@ -540,9 +541,7 @@ def one(fld):
 def poly_gcd(a, b):
     """Monic greatest common divisor."""
     _same_field(a, b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return from_packed(a.field, a.field.kernel.gcd(packed(a), packed(b)))
 
 
 @lru_cache(maxsize=4096)
@@ -554,33 +553,27 @@ def is_irreducible(f):
     that `monic_irreducibles` enumerated, or that `FactoredModulus`
     checked before, is not proved again.
     """
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise SchemaError("irreducibility is undefined for constants")
-    if n == 1:
-        return True
-    k = f.field
-    t = variable(k) % f
-    for i in range(1, n // 2 + 1):
-        t = pow(t, k.q, f)
-        if poly_gcd(f, t - variable(k)).degree >= 1:
+    k, m = f.field.kernel, packed(f)
+    t = h = 1 << k.group
+    for _ in range(f.degree // 2):
+        h = k.pow_mod(h, k.q, m)
+        if k.gcd(m, k.sub(h, t)) != 1:
             return False
     return True
 
 
 @lru_cache(maxsize=256)
 def monic_irreducibles(fld, degree):
-    """All monic irreducibles of the given degree, in code order."""
-    out = []
-    for low in itertools.product(range(fld.q), repeat=degree):
-        f = FqPoly(fld, tuple(low) + (1,))
-        if is_irreducible(f):
-            out.append(f)
-    return tuple(out)
+    """All monic irreducibles of the given degree, in the order of
+    `monic_polys`."""
+    return tuple(filter(is_irreducible, monic_polys(fld, degree)))
 
 
 def monic_polys(fld, degree):
-    """All monic polynomials of the given degree, in code order."""
+    """All monic polynomials of the given degree, by their coefficients
+    (c_0, .., c_(degree-1)) in lexicographic order."""
     for low in itertools.product(range(fld.q), repeat=degree):
         yield FqPoly(fld, tuple(low) + (1,))
 
@@ -594,16 +587,15 @@ class FactoredModulus:
     modulus: FqPoly
 
     def __post_init__(self):
-        n = one(self.field)
         seen = set()
         for p_, a in self.factors:
+            _same_field(p_, self.modulus)
             if not p_.is_monic or not is_irreducible(p_):
                 raise SchemaError(f"factor {p_} is not monic irreducible")
-            if p_.code() in seen:
+            if packed(p_) in seen:
                 raise SchemaError(f"repeated factor {p_}")
-            seen.add(p_.code())
-            n = n * p_ ** a
-        if n != self.modulus:
+            seen.add(packed(p_))
+        if _product(self.field, self.factors) != packed(self.modulus):
             raise SchemaError("factorization does not reconstruct the modulus")
 
     @property
@@ -617,21 +609,63 @@ class FactoredModulus:
                      for p_, a in self.factors), start=1)
 
 
+def _product(fld, pairs):
+    """The kernel integer of the product of P^a over the (P, a) pairs."""
+    k, out = fld.kernel, 1
+    for p_, a in pairs:
+        x = packed(p_)
+        while a:
+            if a & 1:
+                out = k.mul(out, x)
+            a >>= 1
+            if a:
+                x = k.mul(x, x)
+    return out
+
+
 def factored(fld, pairs):
     """FactoredModulus from (irreducible, multiplicity) pairs."""
     pairs = tuple(sorted(((p_, int(a)) for p_, a in pairs),
                          key=lambda t: (t[0].degree, t[0].code())))
-    n = one(fld)
-    for p_, a in pairs:
-        n = n * p_ ** a
-    return FactoredModulus(fld, pairs, n)
+    return FactoredModulus(fld, pairs, from_packed(fld, _product(fld, pairs)))
+
+
+_SPLIT_SEED = 0
+
+
+def _equal_degree_factors(k, g, d, rng):
+    """The monic prime factors of g, a squarefree product of primes of
+    degree d, by equal-degree splitting (Cantor and Zassenhaus): for a
+    random a, gcd(g, a^((q^d - 1)/2) - 1), or for p = 2 gcd(g, a + a^2 +
+    .. + a^(2^(sd - 1))), takes each prime of g with chance about 1/2."""
+    out, todo = [], [g]
+    while todo:
+        g = todo.pop()
+        n = k.degree(g)
+        if n == d:
+            out.append(g)
+            continue
+        a = k.pack([rng.randrange(k.q) for _ in range(n)])
+        if k.p == 2:
+            b = x = a
+            for _ in range(k.s * d - 1):
+                x = k.mod(k.mul(x, x), g)
+                b = k.add(b, x)
+        else:
+            b = k.sub(k.pow_mod(a, (k.q ** d - 1) // 2, g), 1)
+        u = k.gcd(g, b)
+        todo += [u, k.divmod(g, u)[0]] if 0 < k.degree(u) < n else [g]
+    return out
 
 
 def factor_modulus(n):
     """Complete factorization of a polynomial of positive degree.
 
-    Trial division over enumerated monic irreducibles by increasing degree:
-    deterministic and exact at desk scale.
+    Distinct-degree factorization, then equal-degree splitting, on kernel
+    integers (Cantor and Zassenhaus, Math. Comp. 36, 1981): for d = 1, 2,
+    .., gcd(w, T^(q^d) - T) is the product of the degree-d primes of the
+    cofactor w left, each divided out as often as it divides.  The result
+    is unique, so it does not depend on the seed of the splitting.
     """
     if n.degree < 1:
         raise SchemaError("modulus must have positive degree")
@@ -639,26 +673,29 @@ def factor_modulus(n):
     if size > bound:
         raise BoundExceededError(f"F_{n.field.q}[T]/({n}) of size {size} "
                                  f"exceeds the factorization bound {bound}")
-    work = n.monic()
-    pairs = []
-    d = 1
-    while work.degree >= 1:
-        # no factor of degree < d remains, so anything shorter than 2d
-        # is itself irreducible
-        if d * 2 > work.degree:
-            pairs.append((work, 1))
-            break
-        for p_ in monic_irreducibles(n.field, d):
-            if (work % p_).is_zero:
-                a = 0
-                while (work % p_).is_zero:
-                    work = work // p_
-                    a += 1
-                pairs.append((p_, a))
-                if work.degree < d * 2:
-                    break
+    fld = n.field
+    k, rng = fld.kernel, random.Random(_SPLIT_SEED)
+    work, t, pairs = k.monic(packed(n)), 1 << k.group, []
+    h, d = t, 0
+    # h is T^(q^d) modulo a multiple of work, which `pow_mod` reduces; no
+    # prime of degree <= d is left in work, so below degree 2 (d + 1) it
+    # is 1 or prime
+    while k.degree(work) >= 2 * (d + 1):
         d += 1
-    return factored(n.field, pairs)
+        h = k.pow_mod(h, k.q, work)
+        g = k.gcd(work, k.sub(h, t))
+        if g == 1:
+            continue
+        for p_ in _equal_degree_factors(k, g, d, rng):
+            a = 0
+            quo, rem = k.divmod(work, p_)
+            while not rem:
+                work, a = quo, a + 1
+                quo, rem = k.divmod(work, p_)
+            pairs.append((from_packed(fld, p_), a))
+    if work != 1:
+        pairs.append((from_packed(fld, work), 1))
+    return factored(fld, pairs)
 
 
 # ---------------------------------------------------------------------------

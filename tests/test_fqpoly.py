@@ -1,7 +1,9 @@
 """Tests for F_q and F_q[T] arithmetic, factorization, and unit groups."""
 
 import functools
+import operator
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,9 @@ F2 = fq.fq_field(2)
 F3 = fq.fq_field(3)
 F4 = fq.fq_field(2, 2)
 F5 = fq.fq_field(5)
+F8 = fq.fq_field(2, 3)
 F9 = fq.fq_field(3, 2)
+F13 = fq.fq_field(13)
 F512 = fq.fq_field(2, 9)
 F65521 = fq.fq_field(65521)
 KERNEL_FIELDS = [F2, F3, F4, F5, F9, F512, F65521]
@@ -383,12 +387,147 @@ class TestFactorization:
                 for p_, _ in fm.factors:
                     assert fq.is_irreducible(p_)
 
+    @pytest.mark.parametrize("fld,maxdeg", [(F2, 12), (F3, 7)],
+                             ids=["F2", "F3"])
+    def test_equals_trial_division_on_every_small_modulus(self, fld, maxdeg):
+        # every monic N with q^deg N <= 2^12, the moduli of criterion 8
+        for d in range(1, maxdeg + 1):
+            for f in fq.monic_polys(fld, d):
+                assert _factors(fq.factor_modulus(f)) == \
+                    trial_division_factors(f)
+
+    @pytest.mark.parametrize("fld", [F4, F5, F8, F9, F13],
+                             ids=["F4", "F5", "F8", "F9", "F13"])
+    def test_equals_trial_division_on_a_sample(self, fld):
+        # random monic moduli, and products of random primes with
+        # repetition, for q^deg N <= 2^16
+        rng = random.Random(fld.q)
+        maxdeg = next(d for d in range(20) if fld.q ** (d + 1) > 2 ** 16)
+        primes = [f for d in range(1, maxdeg // 2 + 1)
+                  for f in fq.monic_irreducibles(fld, d)]
+        for _ in range(40):
+            f = fq.poly(fld, [rng.randrange(fld.q)
+                              for _ in range(rng.randint(1, maxdeg))] + [1])
+            g = fq.one(fld)
+            for p_ in rng.sample(primes, 4):
+                room = (maxdeg - g.degree) // p_.degree
+                if room:
+                    g = g * p_ ** rng.randint(1, room)
+            for n in (f, g):
+                if n.degree >= 1:
+                    assert _factors(fq.factor_modulus(n)) == \
+                        trial_division_factors(n)
+
+    def test_factorization_does_not_depend_on_the_seed(self, monkeypatch):
+        moduli = [_equal_degree_product(fld, d)
+                  for fld, d in ((F2, 6), (F3, 3), (F4, 2), (F9, 2))]
+        expected = [fq.factor_modulus(n).factors for n in moduli]
+        for seed in (1, 2, 2 ** 40 + 7):
+            monkeypatch.setattr(fq, "_SPLIT_SEED", seed)
+            assert [fq.factor_modulus(n).factors for n in moduli] == expected
+
+    def test_multiplicity_at_least_p(self):
+        # N' = 0, so a squarefree pre-pass by gcd(N, N') would find nothing
+        t2, t3 = fq.variable(F2), fq.variable(F3)
+        fm = fq.factor_modulus((t2 + fq.one(F2)) ** 4)
+        assert _factors(fm) == [((1, 1), 4)]
+        fm = fq.factor_modulus((t3 * t3 + fq.one(F3)) ** 3)
+        assert _factors(fm) == [((1, 0, 1), 3)]
+
+    @pytest.mark.parametrize("fld,d", [
+        (F2, 4), (F2, 6), (F4, 2), (F8, 2), (F3, 2), (F3, 3), (F9, 2),
+    ], ids=["F2-4", "F2-6", "F4-2", "F8-2", "F3-2", "F3-3", "F9-2"])
+    def test_equal_degree_splitting(self, fld, d):
+        # as many primes of one degree as the bound allows: the trace
+        # splits them for p = 2, a^((q^d - 1)/2) - 1 for odd p
+        n = _equal_degree_product(fld, d)
+        fm = fq.factor_modulus(n)
+        assert len(fm.factors) == n.degree // d > 1
+        assert all(p_.degree == d and a == 1 for p_, a in fm.factors)
+        assert _factors(fm) == trial_division_factors(n)
+
+    def test_splitting_draws_few_polynomials(self, monkeypatch):
+        # a wrong trace or exponent still splits, by chance, so only the
+        # number of random coefficients drawn shows it: about 3 per degree
+        # at this seed, and 6 to 110 with one term of the trace dropped or
+        # the exponent off by one
+        draws = []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(fq.random, "Random", Counting)
+        monkeypatch.setattr(fq, "_SPLIT_SEED", 0)
+        for fld, d in ((F2, 6), (F4, 2), (F8, 2), (F3, 3), (F9, 2)):
+            n = _equal_degree_product(fld, d)
+            draws.clear()
+            fq.factor_modulus(n)
+            assert len(draws) <= 5 * n.degree
+
+    @pytest.mark.parametrize("fld,coeffs", [
+        (F5, (3, 0, 4, 2)), (F9, (0, 5, 7, 0, 4)), (F3, (2, 2, 0, 2))])
+    def test_non_monic_input(self, fld, coeffs):
+        n = fq.poly(fld, coeffs)
+        fm = fq.factor_modulus(n)
+        assert fm.modulus == n.monic()
+        assert _factors(fm) == trial_division_factors(n)
+
+    def test_degree_24_modulus_under_the_bound(self):
+        # q^deg N = 2^24, the factorization bound: primes of degree 11
+        # and 13, which trial division reached only after enumerating
+        # every polynomial of degree up to 11
+        p11 = fq.poly(F2, (1, 0, 1) + (0,) * 8 + (1,))
+        p13 = fq.poly(F2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,))
+        start = time.perf_counter()
+        fm = fq.factor_modulus(p11 * p13)
+        assert time.perf_counter() - start < 0.1
+        assert fm.factors == ((p11, 1), (p13, 1))
+
     def test_factored_modulus_validation(self):
         t = fq.variable(F2)
         with pytest.raises(SchemaError):
             fq.FactoredModulus(F2, ((t, 1),), t + fq.one(F2))
         with pytest.raises(SchemaError):
             fq.FactoredModulus(F2, ((t * t, 1),), t * t)
+
+
+def trial_division_factors(n):
+    """The reference factorization: trial division of monic n over the
+    enumerated monic irreducibles of each degree in turn, as (coefficients,
+    multiplicity) pairs sorted by (degree, code)."""
+    work, pairs, d = n.monic(), [], 1
+    while work.degree >= 1:
+        # no factor of degree < d remains, so anything shorter than 2d is
+        # itself irreducible
+        if d * 2 > work.degree:
+            pairs.append((work, 1))
+            break
+        for p_ in fq.monic_irreducibles(n.field, d):
+            if (work % p_).is_zero:
+                a = 0
+                while (work % p_).is_zero:
+                    work, a = work // p_, a + 1
+                pairs.append((p_, a))
+                if work.degree < d * 2:
+                    break
+        d += 1
+    pairs.sort(key=lambda t: (t[0].degree, t[0].code()))
+    return [(p_.coeffs, a) for p_, a in pairs]
+
+
+def _factors(fm):
+    return [(p_.coeffs, a) for p_, a in fm.factors]
+
+
+def _equal_degree_product(fld, d):
+    """The product of the first degree-d primes, as many as keep
+    q^deg N <= 2^24."""
+    primes = fq.monic_irreducibles(fld, d)
+    count = max(r for r in range(1, len(primes) + 1)
+                if fld.q ** (r * d) <= 2 ** 24)
+    return functools.reduce(operator.mul, primes[:count])
 
 
 class TestUnitGroups:
