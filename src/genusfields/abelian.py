@@ -5,7 +5,9 @@ Z/d_1 x ... x Z/d_k; elements are integer tuples reduced componentwise.
 A subgroup is stored as the Hermite normal form of the integer lattice
 generated by its generators together with the relation lattice
 diag(d_1, ..., d_k).  The HNF is unique for a given lattice, so two
-Subgroup values compare equal exactly when the subgroups coincide.
+Subgroup values compare equal exactly when the subgroups coincide.  Every
+subgroup HNF runs modulo one relation per column, with no relation row
+stacked (Domich, Kannan and Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
 
 Also provides the unit groups (Z/nZ)* with exact discrete logarithms,
 which is the finite-level model used everywhere a p-adic unit group
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 from .errors import AmbientMismatchError, BoundExceededError, DimensionError
@@ -30,39 +32,67 @@ UNIT_GROUP_BOUND = 10 ** 6
 # ---------------------------------------------------------------------------
 # Integer matrix normal forms
 
-def hnf(rows, ncols):
-    """Canonical row Hermite normal form of the lattice spanned by `rows`.
+def hnf(rows, ncols, moduli=None):
+    """Canonical row Hermite normal form of a lattice.
 
     Returns a tuple of nonzero rows, echelon from the left: each pivot is
     positive and the entries above a pivot are reduced into [0, pivot).
+
+    With `moduli` (d_j), the lattice of `rows` and the d_j e_j, worked
+    modulo them (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
+    Cohen, GTM 138, Alg. 2.4.8, one modulus per column): per column j,
+    the rows nonzero mod d_j fold into one pivot by extended gcd, g'
+    becomes gcd(g', d_j), d_j / gcd times the old pivot, entry j zeroed,
+    rejoins the rows, each reduced mod the moduli; last, pivots reduce the
+    entries above.  Without moduli, by `hnf_with_transform`.
     """
-    m = [list(r) for r in rows if any(r)]
-    row = 0
-    for col in range(ncols):
-        # gcd-eliminate column `col` below `row`
-        while True:
-            nz = [i for i in range(row, len(m)) if m[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(m[i][col]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = m[i][col] // m[i0][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-        nz = [i for i in range(row, len(m)) if m[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        m[row], m[i0] = m[i0], m[row]
-        if m[row][col] < 0:
-            m[row] = [-a for a in m[row]]
-        piv = m[row][col]
-        for i in range(row):
-            q = m[i][col] // piv
+    if moduli is None:
+        return tuple(r for r in hnf_with_transform(rows, ncols)[0] if any(r))
+    work = [list(r) for r in rows]
+    out = []
+    for j, d in enumerate(moduli):
+        top, rest = None, []
+        for r in work:
+            b = r[j] = r[j] % d
+            if not b:
+                rest.append(r)
+                continue
+            if top is None:
+                top, a = r, b
+                continue
+            if not a % b:   # the cheap paths: b | a, then a | b
+                top, r, a, b = r, top, b, a
+            if not b % a:
+                q = b // a
+                r = [(x - q * y) % c for x, y, c in zip(r, top, moduli)]
+            else:
+                g = gcd(a, b)
+                u = pow(a // g, -1, b // g)
+                v, a, b = (g - u * a) // b, a // g, b // g
+                top, r, a = ([u * y + v * x for x, y in zip(r, top)],
+                             [(a * x - b * y) % c
+                              for x, y, c in zip(r, top, moduli)], g)
+            if any(r):
+                rest.append(r)
+        if top is None:
+            top = [d if c == j else 0 for c in range(ncols)]
+        else:
+            g = gcd(a, d)
+            u = pow(a // g, -1, d // g)
+            if j < ncols - 1:
+                push = [(d // g) * x % c for x, c in zip(top, moduli)]
+                if any(push):
+                    rest.append(push)
+            if u != 1:  # u a = g mod d_j
+                top = [u * x % c for x, c in zip(top, moduli)]
+        out.append(top)
+        work = rest
+    for j, piv in enumerate(out):
+        for i in range(j):
+            q = out[i][j] // piv[j]
             if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-        row += 1
-    return tuple(tuple(r) for r in m[:row])
+                out[i] = [x - q * y for x, y in zip(out[i], piv)]
+    return tuple(map(tuple, out))
 
 
 def hnf_with_transform(rows, ncols):
@@ -71,18 +101,36 @@ def hnf_with_transform(rows, ncols):
     Returns (hrows, urows): the HNF of the augmented matrix [M | I] split
     after column `ncols`, so hrows keeps one row per input row (the zero
     ones last) and urows is the transform over the original row list.
-    Kept as its own function for `unimodular_inverse`, and because the
-    per-layer tracer (perfbench/tracing.py) looks it up by name.
+    [M | I] has no relation diagonal and is not of full rank, so this is
+    the one HNF by Euclid over Z with no modulus, for `unimodular_inverse`
+    and for `hnf` without moduli.
     """
-    n = len(rows)
-    aug = hnf([list(r) + e for r, e in zip(rows, _diagonal([1] * n))],
-              ncols + n)
-    return [r[:ncols] for r in aug], [r[ncols:] for r in aug]
+    m = [list(r) + e for r, e in zip(rows, _diagonal([1] * len(rows)))]
+    row = 0
+    for col in range(ncols + len(m)):
+        while True:
+            # the smallest entry below `row` reduces the others
+            nz = sorted((r for r in m[row:] if r[col]),
+                        key=lambda r: abs(r[col]))
+            if len(nz) <= 1:
+                break
+            for r in nz[1:]:
+                q = r[col] // nz[0][col]
+                r[:] = [a - q * b for a, b in zip(r, nz[0])]
+        if nz:
+            i0 = next(i for i in range(row, len(m)) if m[i] is nz[0])
+            m[row], m[i0] = m[i0], m[row]
+            piv = m[row] = [-a for a in nz[0]] if nz[0][col] < 0 else nz[0]
+            for r in m[:row]:
+                q = r[col] // piv[col]
+                r[:] = [a - q * b for a, b in zip(r, piv)]
+            row += 1
+    return [tuple(r[:ncols]) for r in m], [tuple(r[ncols:]) for r in m]
 
 
 def smith_normal_form(rows, ncols):
     """Diagonal entries of the Smith normal form (nonzero ones only)."""
-    return snf_with_transform(rows, ncols)[0]
+    return _smith(rows, ncols, [])[0]
 
 
 def snf_with_transform(a_rows, ncols):
@@ -91,9 +139,14 @@ def snf_with_transform(a_rows, ncols):
     diag holds the nonzero invariant factors d_1 | d_2 | ..., and U*A*V = D
     for some unimodular U that is not built.
     """
+    return _smith(a_rows, ncols, _diagonal([1] * ncols))
+
+
+def _smith(a_rows, ncols, v):
+    """The body of both SNFs: every column operation is applied to the
+    rows of `v` too, which `smith_normal_form` leaves empty."""
     m = [list(r) for r in a_rows]
     nrows = len(m)
-    v = _diagonal([1] * ncols)
 
     def smallest_entry():
         pos = None
@@ -192,7 +245,7 @@ class FiniteAbelianGroup:
     def rank(self):
         return len(self.invariant_factors)
 
-    @property
+    @cached_property
     def order(self):
         return prod(self.invariant_factors, start=1)
 
@@ -335,19 +388,17 @@ def _solve_upper(rows, ds, k):
 def subgroup_from_generators(ambient, gens):
     """Smallest subgroup of `ambient` containing every generator."""
     k = ambient.rank
-    rows = []
-    for g in gens:
+    rows = list(gens)
+    for g in rows:
         if len(g) != k:
             raise DimensionError(
                 f"generator of length {len(g)} in a rank-{k} group")
-        rows.append(ambient.reduce(g))
-    rows.extend(_diagonal(ambient.invariant_factors))
-    return _from_lattice(ambient, hnf(rows, k))
+    return _from_lattice(ambient, hnf(rows, k, ambient.invariant_factors))
 
 
 def _from_lattice(ambient, lattice):
     """The Subgroup with a given canonical full-rank HNF lattice."""
-    det = prod((lattice[i][i] for i in range(len(lattice))), start=1)
+    det = prod(map(operator.getitem, lattice, itertools.count()))
     return Subgroup(ambient, lattice, ambient.order // det)
 
 
@@ -367,7 +418,9 @@ def _check_same_ambient(a, b):
 def product(a, b):
     """Join (internal product) of two subgroups of the same ambient group."""
     _check_same_ambient(a, b)
-    return subgroup_from_generators(a.ambient, list(a.lattice) + list(b.lattice))
+    g = a.ambient
+    return _from_lattice(
+        g, hnf(a.lattice + b.lattice, g.rank, g.invariant_factors))
 
 
 def intersect(a, b):
@@ -382,11 +435,13 @@ def intersect(a, b):
     themselves they are already in HNF: positive pivots, entries above each
     pivot reduced by it.  The HNF of a lattice is unique, so their right
     halves are the canonical lattice of A meet B, with no second reduction.
+    The block lattice holds (d_j e_j, 0) and (0, d_j e_j), so the HNF runs
+    modulo (d, d).
     """
     _check_same_ambient(a, b)
-    k = a.ambient.rank
+    k, d = a.ambient.rank, a.ambient.invariant_factors
     h = hnf([r + r for r in a.lattice] + [r + (0,) * k for r in b.lattice],
-            2 * k)
+            2 * k, d + d)
     return _from_lattice(a.ambient, tuple(r[k:] for r in h[k:]))
 
 
@@ -394,18 +449,17 @@ def pairing_kernel(sub, vecs):
     """The elements b of `sub` with <b, v> = 0 for every v in `vecs`.
 
     The same block method as `intersect`: one HNF of the rows
-    [<r, v>_v | r] for the lattice rows r of sub, and [e*I | 0], with m =
-    len(vecs) left columns.  They span the pairs (phi(x) + e*z, x) with x
-    in the lattice and phi(x) the pairings of x, so the zero-left rows
-    span {0} x (the kernel).  The left half has rank m, and the kernel
-    contains diag(d), so the last k rows are those, and their right
-    halves are its canonical lattice.
+    [<r, v>_v | r] for the lattice rows r of sub, modulo e in each of the
+    m = len(vecs) left columns and d on the right.  With those relations
+    they span the pairs (phi(x) + e*z, x) with x in the lattice and phi(x)
+    the pairings of x, so the zero-left rows span {0} x (the kernel).  The
+    left half has rank m, and the kernel contains diag(d), so the last k
+    rows are those, and their right halves are its canonical lattice.
     """
     g = sub.ambient
     m = len(vecs)
     rows = [[g.pairing(r, v) for v in vecs] + list(r) for r in sub.lattice]
-    rows += [r + [0] * g.rank for r in _diagonal([g.exponent] * m)]
-    h = hnf(rows, m + g.rank)
+    h = hnf(rows, m + g.rank, (g.exponent,) * m + g.invariant_factors)
     return _from_lattice(g, tuple(r[m:] for r in h[m:]))
 
 
@@ -486,12 +540,11 @@ def greedy_basis(group, candidates, power, mul):
 
 def _span_coordinates(group, vecs, orders, y):
     """Coordinates of y on the independent `vecs`: clearing y's left half
-    with the HNF of [v_i | e_i] and [d_j e_j | 0], pivot i in row i < k,
-    leaves minus them on the right."""
+    with the HNF of the rows [v_i | e_i] modulo (d, orders) (v_i has
+    order orders_i), pivot i in row i < k, leaves minus them on the right."""
     k, t = group.rank, len(vecs)
-    h = hnf([list(v) + e for v, e in zip(vecs, _diagonal([1] * t))]
-            + [r + [0] * t for r in _diagonal(group.invariant_factors)],
-            k + t)
+    h = hnf([list(v) + e for v, e in zip(vecs, _diagonal([1] * t))], k + t,
+            group.invariant_factors + tuple(orders))
     x = list(y) + [0] * t
     for i in range(k):
         x = [a - x[i] // h[i][i] * b for a, b in zip(x, h[i])]

@@ -180,17 +180,19 @@ class Kernel:
             cache[b] = build(b)
         return cache[b]
 
-    def _divisor(self, b):
-        """For b of leading coefficient l: the rows x^j l^-1 b, j < s,
-        that clear one top coefficient each, and l^-1."""
-        inv = self.inverse(b >> self.group * self.degree(b))
-        return tuple(self.mul(b, self.mul(inv, 1 << self.w * j))
-                     for j in range(self.s)), inv
+    def _rows(self, b):
+        """For monic b: the rows x^j b, j < s, that clear a top digit each."""
+        return (b,) + tuple(self.mul(b, 1 << self.w * j)
+                            for j in range(1, self.s))
 
-    def divmod(self, x, b):
-        """Quotient and remainder of x by b != 0."""
-        n = self.degree(b)
-        rows, inv = self._cached(self._divisors, b, self._divisor)
+    def _divisor(self, b):
+        """For b of leading coefficient l: the rows of l^-1 b, and l^-1."""
+        inv = self.inverse(b >> self.group * self.degree(b))
+        return self._rows(self.mul(b, inv)), inv
+
+    def _divide(self, x, rows, n, quotient):
+        """(Quotient if asked, remainder) of x by the monic divisor with
+        these rows and degree n."""
         w, g, p, slot = self.w, self.group, self.p, self._slot
         quo = steps = 0
         while x >> (g * n):
@@ -203,11 +205,16 @@ class Kernel:
                 d = ((top >> w * j) & slot) % p
                 if d:
                     x += (p - d) * row << shift
-                    quo += d << (w * j + shift)
+                    if quotient:
+                        quo += d << (w * j + shift)
             x &= (1 << (g * i)) - 1
-        if inv != 1:
-            quo = self.mul(quo, inv)
         return quo, self.reduce(x)
+
+    def divmod(self, x, b):
+        """Quotient and remainder of x by b != 0."""
+        rows, inv = self._cached(self._divisors, b, self._divisor)
+        quo, rem = self._divide(x, rows, self.degree(b), True)
+        return (quo if inv == 1 else self.mul(quo, inv)), rem
 
     def _reducer(self, b):
         """deg b and floor(T^(2 deg b - 2) / b)."""
@@ -244,9 +251,11 @@ class Kernel:
         return x if lead <= 1 else self.mul(x, self.inverse(lead))
 
     def gcd(self, a, b):
-        """The monic greatest common divisor of a and b, by Euclid."""
+        """The monic gcd of a and b by Euclid on monic remainders, each
+        used once, so none gets a quotient or a `_divisors` entry."""
         while b:
-            a, b = b, self.divmod(a, b)[1]
+            b = self.monic(b)
+            a, b = b, self._divide(a, self._rows(b), self.degree(b), False)[1]
         return self.monic(a)
 
     def frobenius(self, x, e):

@@ -432,11 +432,9 @@ def s_field_invariants(data, infinity):
     ramification over the level-n0 field.
     """
     recs = data.primes_above_infinity
+    # t0 is also f_infinity: the value group of the compositum's norms is
+    # generated by the t_i
     t0 = reduce(gcd, (rec.t for rec in recs))
-    # f_infinity from the pi-valuation coordinate of the norm lattice:
-    # the value group of the compositum's norms is generated by the t_i
-    f_lattice = abelian.hnf([(rec.t,) for rec in recs], 1)
-    f_inf = f_lattice[0][0]
     if not data.has_norm_data:
         # no unit-level data: treat the unit norms as full
         script_s = infinity.full_subgroup()
@@ -477,4 +475,4 @@ def s_field_invariants(data, infinity):
     e_res = join.order // script_s.order
     m0 = t0 * e_res
     return SFieldInvariants(t0=t0, n0=n0, m0=m0, alpha=alpha,
-                            f_infinity=f_inf)
+                            f_infinity=t0)

@@ -1,5 +1,6 @@
 """Tests for the finite abelian group lattice calculus."""
 
+import contextlib
 import itertools
 import random
 from math import gcd, lcm, prod
@@ -277,6 +278,161 @@ class TestNormalForms:
         diag = ab.smith_normal_form(list(sub.lattice), g.rank)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         assert prod(diag) == sub.index
+
+
+def euclid_hnf(rows, ncols):
+    """The reference HNF for `hnf` with moduli, run on the rows stacked on
+    the relations: Euclid over Z with no modulus, each column reduced by
+    its smallest entry until one is left."""
+    m = [list(r) for r in rows if any(r)]
+    row = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(row, len(m)) if m[i][col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(m[i][col]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = m[i][col] // m[i0][col]
+                m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
+        nz = [i for i in range(row, len(m)) if m[i][col] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        m[row], m[i0] = m[i0], m[row]
+        if m[row][col] < 0:
+            m[row] = [-a for a in m[row]]
+        piv = m[row][col]
+        for i in range(row):
+            q = m[i][col] // piv
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[row])]
+        row += 1
+    return tuple(tuple(r) for r in m[:row])
+
+
+def stacked(rows, moduli):
+    """The rows, then the relation rows diag(moduli)."""
+    k = len(moduli)
+    return [list(r) for r in rows] + [[d if i == j else 0 for j in range(k)]
+                                      for i, d in enumerate(moduli)]
+
+
+@contextlib.contextmanager
+def recorded_hnf_calls():
+    """The (rows, ncols, moduli) of every `ab.hnf` call inside the block."""
+    calls, real = [], ab.hnf
+
+    def spy(rows, ncols, moduli=None):
+        calls.append((list(rows), ncols, moduli))
+        return real(rows, ncols, moduli)
+
+    ab.hnf = spy
+    try:
+        yield calls
+    finally:
+        ab.hnf = real
+
+
+def check_recorded(calls):
+    """Every recorded call passed one relation per column, and its result
+    equals Euclid on the rows stacked on the relations."""
+    for rows, ncols, moduli in calls:
+        assert len(moduli) == ncols and all(d > 0 for d in moduli)
+        assert ab.hnf(rows, ncols, moduli) == \
+            euclid_hnf(stacked(rows, moduli), ncols)
+
+
+def subgroup_operations(g, vecs):
+    """Each subgroup operation that runs a modular HNF, as a thunk."""
+    a = ab.subgroup_from_generators(g, vecs[:2])
+    b = ab.subgroup_from_generators(g, vecs[2:])
+    return {
+        "subgroup_from_generators":
+            lambda: ab.subgroup_from_generators(g, vecs),
+        "product": lambda: ab.product(a, b),
+        "intersect": lambda: ab.intersect(a, b),
+        "pairing_kernel": lambda: ab.pairing_kernel(a, vecs[2:]),
+        "_span_coordinates": lambda: ab.greedy_basis(
+            g, lambda: ((v, v) for v in g.elements()), g.scale, g.add),
+    }
+
+
+huge = st.integers(-2 ** 80, 2 ** 80)
+
+
+class TestModularHNF:
+    """`hnf` modulo one relation per column against `euclid_hnf` on the
+    rows stacked on diag(moduli)."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_euclid_on_stacked_rows(self, data):
+        k = data.draw(st.integers(0, 7))
+        moduli = data.draw(st.lists(
+            st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70)),
+            min_size=k, max_size=k))
+        rows = data.draw(st.lists(
+            st.lists(st.one_of(st.integers(-12, 12), huge),
+                     min_size=k, max_size=k), max_size=6))
+        assert ab.hnf(rows, k, moduli) == euclid_hnf(stacked(rows, moduli), k)
+
+    @pytest.mark.parametrize("site", sorted(subgroup_operations(
+        ab.TRIVIAL_GROUP, [()] * 3)))
+    @given(group_and_elements(max_rank=6, max_order=4096, count=4))
+    @settings(max_examples=60, deadline=None)
+    def test_call_sites(self, site, data):
+        g, vecs = data
+        op = subgroup_operations(g, vecs)[site]
+        with recorded_hnf_calls() as calls:
+            op()
+        assert calls
+        check_recorded(calls)
+
+    @pytest.mark.parametrize("facs", [(), (2, 2, 2, 2, 4), (2, 2, 4, 4, 8),
+                                      (6, 6, 6, 6, 6), (2, 2, 2, 2, 4, 4)])
+    def test_rank_zero_five_and_six(self, facs):
+        # with equal factors the relation rows d_i e_i of pairing_kernel's
+        # right half are 0 mod its left modulus e as well
+        g = ab.FiniteAbelianGroup(facs)
+        rng = random.Random(len(facs))
+        for _ in range(20):
+            vecs = [tuple(rng.randrange(d) for d in facs) for _ in range(4)]
+            for op in subgroup_operations(g, vecs).values():
+                with recorded_hnf_calls() as calls:
+                    op()
+                check_recorded(calls)
+
+    def test_rank_zero_lattices(self):
+        assert ab.hnf([], 0, ()) == ()
+        assert ab.hnf([(), ()], 0, ()) == ()
+        assert ab.hnf([], 3, (4, 1, 6)) == ((4, 0, 0), (0, 1, 0), (0, 0, 6))
+
+    @given(group_and_elements(max_rank=5, max_order=1024, count=3),
+           st.lists(st.lists(huge, min_size=5, max_size=5), min_size=1,
+                    max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_negative_and_huge_generators(self, data, shifts):
+        # a generator is read modulo the relations, whatever its size
+        g, vecs = data
+        big = [tuple(x + d * s for x, d, s in zip(v, g.invariant_factors,
+                                                  shift))
+               for v, shift in zip(vecs, shifts)]
+        with recorded_hnf_calls() as calls:
+            sub = ab.subgroup_from_generators(g, big)
+        check_recorded(calls)
+        assert sub == ab.subgroup_from_generators(g, vecs[:len(big)])
+        rows = [r for v in big for r in (v, [-x for x in v])]
+        assert ab.hnf(rows, g.rank, g.invariant_factors) == euclid_hnf(
+            stacked(rows, g.invariant_factors), g.rank)
+
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_smith_diagonal_without_transform(self, n, data):
+        m = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n,
+                                        max_size=n), max_size=5))
+        assert ab.smith_normal_form(m, n) == ab.snf_with_transform(m, n)[0]
 
 
 class TestPairingKernel:

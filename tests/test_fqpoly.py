@@ -466,6 +466,25 @@ class TestFactorization:
             fq.factor_modulus(n)
             assert len(draws) <= 5 * n.degree
 
+    @pytest.mark.parametrize("fld", [F2, F3, F4, F9], ids=["F2", "F3", "F4",
+                                                           "F9"])
+    def test_euclid_caches_no_remainders(self, fld):
+        # the divisors cached by factoring are the cofactors, the
+        # products of equal-degree primes and the primes, all dividing N;
+        # a Euclid remainder is used once and is not cached
+        rng = random.Random(fld.q)
+        k = fld.kernel
+        deg = next(d for d in range(2, 20) if fld.q ** (d + 1) > 2 ** 16)
+        for n in [_equal_degree_product(fld, 2)] + [
+                fq.poly(fld, [rng.randrange(fld.q) for _ in range(deg)] + [1])
+                for _ in range(10)]:
+            k._divisors.clear()
+            k._reducers.clear()
+            fq.factor_modulus(n)
+            cached = list(k._divisors)
+            assert cached
+            assert all(k.divmod(fq.packed(n), b)[1] == 0 for b in cached)
+
     @pytest.mark.parametrize("fld,coeffs", [
         (F5, (3, 0, 4, 2)), (F9, (0, 5, 7, 0, 4)), (F3, (2, 2, 0, 2))])
     def test_non_monic_input(self, fld, coeffs):
