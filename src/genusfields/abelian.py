@@ -102,8 +102,8 @@ def hnf_with_transform(rows, ncols):
     after column `ncols`, so hrows keeps one row per input row (the zero
     ones last) and urows is the transform over the original row list.
     [M | I] has no relation diagonal and is not of full rank, so this is
-    the one HNF by Euclid over Z with no modulus, for `unimodular_inverse`
-    and for `hnf` without moduli.
+    the one HNF by Euclid over Z with no modulus, for `hnf` without
+    moduli.
     """
     m = [list(r) + e for r, e in zip(rows, _diagonal([1] * len(rows)))]
     row = 0
@@ -130,21 +130,24 @@ def hnf_with_transform(rows, ncols):
 
 def smith_normal_form(rows, ncols):
     """Diagonal entries of the Smith normal form (nonzero ones only)."""
-    return _smith(rows, ncols, [])[0]
+    return _smith(rows, ncols, [], [])[0]
 
 
 def snf_with_transform(a_rows, ncols):
-    """Smith normal form with the column transform: returns (diag, V).
+    """Smith normal form with the column transform: returns (diag, V, W),
+    W the transpose of V^-1.
 
     diag holds the nonzero invariant factors d_1 | d_2 | ..., and U*A*V = D
     for some unimodular U that is not built.
     """
-    return _smith(a_rows, ncols, _diagonal([1] * ncols))
+    return _smith(a_rows, ncols, _diagonal([1] * ncols),
+                  _diagonal([1] * ncols))
 
 
-def _smith(a_rows, ncols, v):
+def _smith(a_rows, ncols, v, w):
     """The body of both SNFs: every column operation is applied to the
-    rows of `v` too, which `smith_normal_form` leaves empty."""
+    rows of `v` too, and its inverse transposed to those of `w`, so w
+    stays the transpose of v^-1; `smith_normal_form` leaves both empty."""
     m = [list(r) for r in a_rows]
     nrows = len(m)
 
@@ -165,7 +168,7 @@ def _smith(a_rows, ncols, v):
         while True:
             i0, j0 = pos
             m[top], m[i0] = m[i0], m[top]
-            for r in itertools.chain(m, v):
+            for r in itertools.chain(m, v, w):
                 r[top], r[j0] = r[j0], r[top]
             piv = m[top][top]
             dirty = False
@@ -180,6 +183,8 @@ def _smith(a_rows, ncols, v):
                 if q:
                     for r in itertools.chain(m, v):
                         r[j] -= q * r[top]
+                    for r in w:
+                        r[top] += q * r[j]
                 if m[top][j]:
                     dirty = True
             if not dirty:
@@ -193,17 +198,7 @@ def _smith(a_rows, ncols, v):
             pos = smallest_entry()
         top += 1
         pos = smallest_entry()
-    return [abs(m[i][i]) for i in range(top)], v
-
-
-def unimodular_inverse(v):
-    """Inverse of an integer matrix with determinant +-1."""
-    n = len(v)
-    h, u = hnf_with_transform(v, n)
-    # U * V = H, and H is the identity exactly when V is unimodular
-    if any(r[i] != 1 for i, r in enumerate(h)):
-        raise ValueError("matrix is not unimodular")
-    return u
+    return [abs(m[i][i]) for i in range(top)], v, w
 
 
 def _diagonal(entries):
@@ -482,15 +477,14 @@ class GeneratorPresentation:
 
     def __init__(self, raw_orders):
         self.raw_orders = [int(o) for o in raw_orders]
-        diag, v = snf_with_transform(_diagonal(self.raw_orders),
-                                     len(self.raw_orders))
-        vinv = unimodular_inverse(v)
+        diag, v, w = snf_with_transform(_diagonal(self.raw_orders),
+                                        len(self.raw_orders))
         kept = [i for i, d in enumerate(diag) if d > 1]
         self.group = FiniteAbelianGroup(tuple(diag[i] for i in kept))
         # raw -> canonical by V's kept columns, back by V^-1's kept rows
         self._columns = [([row[j] for row in v], diag[j]) for j in kept]
-        self._rows = [([vinv[j][i] for j in kept], o)
-                      for i, o in enumerate(self.raw_orders)]
+        self._rows = [([row[j] for j in kept], o)
+                      for row, o in zip(w, self.raw_orders)]
 
     def to_canonical(self, raw_vec):
         """Exponent vector on raw generators -> canonical GroupElement."""
@@ -682,13 +676,17 @@ class CRTUnitGroup:
         return [self._presentation.to_canonical([0] * at[0] + list(r) + [0] * (
             len(self._raw_keys) - 1 - at[-1])) for r in local]
 
-    def component_part(self, key, vec):
-        """dlog of eps_key(exp(vec)), 1 off the prime `key`, without a
-        dlog: the raw generators are CRT lifts, so it is `vec` with every
-        raw coordinate outside `key` set to 0."""
-        raw = self._presentation.from_canonical(vec)
-        return self._presentation.to_canonical(
-            [e if k == key else 0 for e, k in zip(raw, self._raw_keys)])
+    def component_parts(self, key):
+        """Row t: dlog of eps_key(g_t), 1 off the prime `key`, for the
+        canonical generators g_t, without a dlog: the raw generators are
+        CRT lifts, so it is g_t with every raw coordinate outside `key`
+        set to 0, one product of V^-1's rows and V's columns over those."""
+        pres = self._presentation
+        rows = [(pres._rows[i][0], i)
+                for i, k in enumerate(self._raw_keys) if k == key]
+        return [tuple(sum(r[t] * col[i] for r, i in rows) % d
+                      for col, d in pres._columns)
+                for t in range(self.group.rank)]
 
     def lift(self, key, u):
         """Residue mod n equal to u modulo the power of the prime `key`
@@ -700,7 +698,7 @@ class CRTUnitGroup:
     def order(self):
         return self.group.order
 
-    @property
+    @cached_property
     def generators(self):
         """Residues mapping to the standard basis of the invariant factors."""
         return tuple(map(self.exp, _diagonal([1] * self.group.rank)))
@@ -717,7 +715,8 @@ class CRTUnitGroup:
 class UnitGroup(CRTUnitGroup):
     """(Z/nZ)* with an invariant-factor presentation and exact dlog/exp:
     a `CyclicLog` on the primitive root of each odd p^a, and at 2^a the
-    sign, then a `CyclicLog` on 5 (a unit mod 2^a is +-5^k)."""
+    sign, then a `CyclicLog` on 5 (a unit mod 2^a is +-5^k), each built
+    on the first dlog."""
 
     def __init__(self, n):
         if not 2 <= n <= UNIT_GROUP_BOUND:
@@ -728,14 +727,25 @@ class UnitGroup(CRTUnitGroup):
         for p, a in self.factorization:
             cof = n // p ** a
             self.idempotents[p] = cof * pow(cof, -1, p ** a) % n
-        parts = [(p, _prime_power_generators(p, a))
-                 for p, a in self.factorization]
-        self._present(parts)
-        # per prime power: a CyclicLog on its primitive root, or on 5
-        self._logs = [(p ** a, CyclicLog(
+        self._parts = [(p, _prime_power_generators(p, a))
+                       for p, a in self.factorization]
+        self._present(self._parts)
+
+    @cached_property
+    def _logs(self):
+        """Per prime power: a CyclicLog on its primitive root, or on 5."""
+        return [(p ** a, CyclicLog(
             *gens[-1], lambda x, e, q=p ** a: pow(x, e, q),
             lambda x, y, q=p ** a: x * y % q) if p > 2 or a >= 3 else None)
-            for (p, a), (_, gens) in zip(self.factorization, parts)]
+            for (p, a), (_, gens) in zip(self.factorization, self._parts)]
+
+    @cached_property
+    def minus_one_log(self):
+        """dlog of -1 with no dlog: phi(p^a)/2 on each odd primitive
+        root; at 2^a (a >= 2) the sign 1, and 0 on 5."""
+        return self._presentation.to_canonical([
+            e for p, a in self.factorization for e in (
+                ((p - 1) * p ** (a - 1) // 2,) if p > 2 else (1, 0)[:a - 1])])
 
     def residues(self):
         n = self.modulus

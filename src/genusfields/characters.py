@@ -66,6 +66,10 @@ class _UnitAmbient:
     def components(self):
         return tuple(Component(key, a) for key, a in self.factorization)
 
+    def infinity_logs(self):
+        """dlog vectors of `units_at_infinity`."""
+        return tuple(map(self.dlog, self.units_at_infinity()))
+
     def project(self, component, u):
         return u % component.modulus
 
@@ -78,14 +82,14 @@ class _UnitAmbient:
         back is b R_p, i.e. b composed with eps_p(u) = lift(project(u)).
 
         Row j of M is dlog(eps_p(g_j)) on the canonical generators g_j,
-        with no dlog (`CRTUnitGroup.component_part`), and R_p[i][j] =
-        M[j][i] d_j / d_i mod d_j: exact, because eps_p(g_j) has order
-        dividing d_j.  Cached per component."""
+        with no dlog: one product over p's raw coordinates
+        (`CRTUnitGroup.component_parts`), and R_p[i][j] = M[j][i] d_j / d_i
+        mod d_j: exact, because eps_p(g_j) has order dividing d_j.  Cached
+        per component."""
         r = self._component_matrices.get(component.key)
         if r is None:
             d = list(enumerate(self.group.invariant_factors))
-            m = [self.units.component_part(component.key, e)
-                 for e in abelian._diagonal([1] * self.group.rank)]
+            m = self.units.component_parts(component.key)
             if any(m[j][i] * dj % di for i, di in d for j, dj in d):
                 raise RuntimeError(
                     "component value escaped the expected order")
@@ -127,6 +131,9 @@ class NumericAmbient(_UnitAmbient):
         """Generators of the image of the units at the infinite prime:
         -1, whose class is complex conjugation."""
         return (self.minus_one,)
+
+    def infinity_logs(self):
+        return (self.units.minus_one_log,)   # read off, with no dlog
 
     def component_ambient(self, component):
         return numeric_ambient(component.modulus)
@@ -249,7 +256,8 @@ def parity(chi):
     """'even' when chi(-1) = 1, 'odd' otherwise.  Numeric moduli only."""
     if chi.ambient.kind != "number":
         raise SchemaError("parity is defined only for integer moduli")
-    return "even" if chi.value_exponent(chi.ambient.minus_one) == 0 else "odd"
+    minus = chi.ambient.units.minus_one_log
+    return "odd" if chi.ambient.group.pairing(chi.exponents, minus) else "even"
 
 
 def is_even(chi):

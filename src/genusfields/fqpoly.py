@@ -749,7 +749,7 @@ class _PrimePowerUnits:
             for g in gens]
         self._layers = [(packed(p_poly ** j), inverses[w * (j - 1):w * j])
                         for j in range(1, a)]
-        diag, v = abelian.snf_with_transform(
+        diag, v, _ = abelian.snf_with_transform(
             [[cyc] + [0] * len(gens)] + [
                 [0] + [fld.p * (i == j) - e for j, e in
                        enumerate(self._digits(self._pow(g, fld.p)))]

@@ -38,7 +38,7 @@ def plus_part(x):
     generate: 1 or 2 over Q, a divisor of q - 1 over F_q(T).
     """
     amb = x.ambient
-    vecs = [amb.dlog(u) for u in amb.units_at_infinity()]
+    vecs = amb.infinity_logs()
     out = characters.CharacterGroup(amb, abelian.pairing_kernel(x.dual, vecs))
     if abelian.subgroup_from_generators(amb.group, vecs).order \
             % (x.order // out.order):
@@ -212,7 +212,7 @@ def classify_l2(h, modulus, m=None):
     if m == 0:
         return L2Classification(PLUS_FIELD, 0, "Q")
 
-    if h.contains(amb.dlog(amb.minus_one)):
+    if h.contains(amb.units.minus_one_log):
         return L2Classification(PLUS_FIELD, m, f"Q(zeta_{2 ** (m + 2)})^+")
     kernel = abelian.subgroup_from_generators(
         amb.group, amb.units.one_units(2, m + 1))

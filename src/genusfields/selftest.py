@@ -181,13 +181,13 @@ def criterion_lattice_laws(bound=None):
                 pairs += 1
     # order-2 join identity on random triples
     rng = random.Random(4)
-    ambients = [abelian.FiniteAbelianGroup(t) for t in
-                ((2, 2, 4), (4, 8), (2, 4, 8), (2, 2, 2, 4), (8, 8),
-                 (2, 6, 12))]
-    for _ in range(10 ** 4):
-        g = rng.choice(ambients)
+    ambients = []   # (group, its elements, those of order 2)
+    for t in ((2, 2, 4), (4, 8), (2, 4, 8), (2, 2, 2, 4), (8, 8), (2, 6, 12)):
+        g = abelian.FiniteAbelianGroup(t)
         els = list(g.elements())
-        order2 = [x for x in els if g.element_order(x) == 2]
+        ambients.append((g, els, [x for x in els if g.element_order(x) == 2]))
+    for _ in range(10 ** 4):
+        g, els, order2 = rng.choice(ambients)
         s1 = abelian.subgroup_from_generators(g, rng.sample(els, 2))
         s2 = abelian.subgroup_from_generators(g, rng.sample(els, 2))
         i = abelian.subgroup_from_generators(g, [rng.choice(order2)])

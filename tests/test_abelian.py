@@ -256,6 +256,17 @@ class TestLatticeLaws:
         assert ab.quotient_structure(a).order == a.index
 
 
+def unimodular_inverse(v):
+    """The reference inverse of an integer matrix with determinant +-1:
+    the transform U of the HNF of V, which is the identity."""
+    n = len(v)
+    h, u = ab.hnf_with_transform(v, n)
+    # U * V = H, and H is the identity exactly when V is unimodular
+    if any(r[i] != 1 for i, r in enumerate(h)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
 class TestNormalForms:
     @given(st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3),
                     min_size=1, max_size=4),
@@ -267,8 +278,8 @@ class TestNormalForms:
             [sum(u[i][k] * m[k][j] for k in range(len(m))) for j in range(3)]
             for i in range(len(m))]
         assert tuple(r for r in h if any(r)) == ab.hnf(m, 3)
-        u_inv = ab.unimodular_inverse(u)
-        assert ab.unimodular_inverse(u_inv) == [tuple(r) for r in u]
+        u_inv = unimodular_inverse(u)
+        assert unimodular_inverse(u_inv) == [tuple(r) for r in u]
         n = len(u)
         assert [[sum(u[i][k] * u_inv[k][j] for k in range(n))
                  for j in range(n)] for i in range(n)] == [
@@ -603,6 +614,76 @@ class TestStructuralDlog:
             ab.unit_group(999983).dlog(0)
         with pytest.raises(ValueError):
             ab.unit_group(2 ** 19).dlog(6)
+
+
+class TestReadOffLogs:
+    """What a report reads off the presentation instead of a dlog."""
+
+    def test_minus_one_against_dlog(self):
+        # every 2^a, 2 * odd and 4 * odd up to 5000 included
+        for n in range(2, 5001):
+            u = ab.UnitGroup(n)
+            assert u.minus_one_log == u.dlog(n - 1), n
+
+    def test_logs_are_built_on_first_dlog(self, monkeypatch):
+        built = []
+        init = ab.CyclicLog.__init__
+        monkeypatch.setattr(ab.CyclicLog, "__init__", lambda self, *a: (
+            built.append(a[1]), init(self, *a))[1])
+        u = ab.UnitGroup(8 * 9 * 7)
+        u.generators, u.minus_one_log, u.one_units(3, 1)
+        assert built == []
+        assert u.dlog(5) == u.dlog(5)
+        assert sorted(built) == [2, 6, 6]   # once per prime power
+
+    def test_generators_are_computed_once(self):
+        u = ab.UnitGroup(720)
+        assert u.generators is u.generators
+
+
+def _snf_inverse_agrees(orders_or_rows, ncols):
+    _, v, w = ab.snf_with_transform(orders_or_rows, ncols)
+    assert [tuple(r) for r in zip(*w)] == unimodular_inverse(v)
+
+
+class TestTransformInverse:
+    """V^-1 kept by `snf_with_transform` through its column operations
+    against the HNF inverse of V."""
+
+    def test_unit_groups_up_to_2000(self):
+        for n in range(2, 2001):
+            orders = ab.unit_group(n)._presentation.raw_orders
+            _snf_inverse_agrees(ab._diagonal(orders), len(orders))
+
+    def test_function_field_unit_groups(self, monkeypatch):
+        from genusfields import fqpoly
+        calls = []
+        snf = ab.snf_with_transform
+        monkeypatch.setattr(ab, "snf_with_transform", lambda rows, n: (
+            calls.append((rows, n)), snf(rows, n))[1])
+        fields = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1),
+                  8: (2, 3), 9: (3, 2)}
+        rng = random.Random(13)
+        for _ in range(40):
+            q = rng.choice(sorted(fields))
+            fld = fqpoly.fq_field(*fields[q])
+            degree = rng.randint(1, {2: 9, 3: 6, 4: 4}.get(q, 3))
+            n = fqpoly.poly(fld, [rng.randrange(q) for _ in range(degree)]
+                            + [1])
+            fqpoly._prime_power_units.cache_clear()
+            fqpoly.unit_group_mod(fqpoly.factor_modulus(n))
+        monkeypatch.undo()
+        assert len(calls) > 40
+        for rows, n in calls:
+            _snf_inverse_agrees(rows, n)
+
+    @given(st.lists(st.integers(1, 6000), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_random_raw_orders(self, orders):
+        _snf_inverse_agrees(ab._diagonal(orders), len(orders))
+        p = ab.GeneratorPresentation(orders)
+        for e in ab._diagonal([1] * p.group.rank):
+            assert p.to_canonical(p.from_canonical(e)) == tuple(e)
 
 
 class TestCyclicLog:

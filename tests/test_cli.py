@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -429,6 +430,50 @@ def test_abelian_reports_do_not_enumerate_characters(monkeypatch, command,
     assert code == 0
     with open(os.path.join(GOLDEN, name + ".json"), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def _count_logs(monkeypatch):
+    """Cold ambient caches, then every `CyclicLog` built and every
+    `UnitGroup.dlog` call from now on."""
+    made = []
+    init, dlog = abelian.CyclicLog.__init__, abelian.UnitGroup.dlog
+    monkeypatch.setattr(abelian.CyclicLog, "__init__", lambda self, *a: (
+        made.append(("log", a[1])), init(self, *a))[1])
+    monkeypatch.setattr(abelian.UnitGroup, "dlog", lambda self, u: (
+        made.append(("dlog", u)), dlog(self, u))[1])
+    for cache in (abelian.unit_group, characters.numeric_ambient,
+                  characters.component_split):
+        cache.cache_clear()
+    return made
+
+
+NUMBER_REPORT_SCRIPTS = sorted(
+    name[:-5] for name in os.listdir(SCRIPTS) if name.endswith(".toml")
+    and cli.load_document(os.path.join(SCRIPTS, name))["kind"]
+    in ("number-quadratic", "number-abelian"))
+
+
+@pytest.mark.parametrize("name", NUMBER_REPORT_SCRIPTS)
+def test_number_report_takes_no_dlog(monkeypatch, name):
+    # -1 is read off the presentation, so a fresh modulus builds no log
+    made = _count_logs(monkeypatch)
+    for flag in ([], ["--json"]):
+        code, _ = run_cli(["number", "--spec",
+                           os.path.join(SCRIPTS, name + ".toml")] + flag)
+        assert code == 0 and made == []
+
+
+def test_quadratic_reports_take_no_dlog(monkeypatch, tmp_path):
+    made = _count_logs(monkeypatch)
+    rng = random.Random(1901)
+    spec = tmp_path / "quad.toml"
+    for _ in range(60):
+        d = 0
+        while not characters.is_fundamental_discriminant(d):
+            d = rng.randint(-5000, 5000)
+        spec.write_text(f'kind = "number-quadratic"\ndiscriminant = {d}\n')
+        code, _ = run_cli(["number", "--spec", str(spec), "--json"])
+        assert code == 0 and made == [], d
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,23 @@ def test_oracle_matches_closed_forms_exhaustively(n):
         assert oracle.maximal_genus_search(x) == gn.genus_characters(x)
 
 
+@pytest.mark.parametrize("n", [8, 12, 35, 48, 60])
+def test_oracle_parity_takes_the_dlog_of_minus_one(monkeypatch, n):
+    # the oracle's parity profiles stay on `UnitGroup.dlog`, a path
+    # independent of the read-off `minus_one_log` behind the reports
+    calls = []
+    dlog = abelian.UnitGroup.dlog
+    monkeypatch.setattr(abelian.UnitGroup, "dlog", lambda self, u: (
+        calls.append(u), dlog(self, u))[1])
+    oracle._lattice_cached.cache_clear()
+    amb = ch.NumericAmbient(n)
+    lattice = oracle.enumerate_subfields(amb)
+    assert n - 1 in calls
+    for s in lattice.subgroups:
+        assert lattice.parity_profiles[s] == all(
+            ch.is_even(ch.Character(amb, v)) for v in s)
+
+
 def test_oracle_fixture_values_for_quadratic_fields():
     # degrees of the genus fields of Q(sqrt(-5)) and Q(sqrt(3)), found by
     # exhaustive search rather than the component formulas
