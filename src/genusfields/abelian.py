@@ -32,22 +32,20 @@ UNIT_GROUP_BOUND = 10 ** 6
 # ---------------------------------------------------------------------------
 # Integer matrix normal forms
 
-def hnf(rows, ncols, moduli=None):
-    """Canonical row Hermite normal form of a lattice.
+def hnf(rows, ncols, moduli):
+    """Canonical row Hermite normal form of the lattice of `rows` and the
+    d_j e_j, for `moduli` (d_j).
 
     Returns a tuple of nonzero rows, echelon from the left: each pivot is
     positive and the entries above a pivot are reduced into [0, pivot).
 
-    With `moduli` (d_j), the lattice of `rows` and the d_j e_j, worked
-    modulo them (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
-    Cohen, GTM 138, Alg. 2.4.8, one modulus per column): per column j,
-    the rows nonzero mod d_j fold into one pivot by extended gcd, g'
-    becomes gcd(g', d_j), d_j / gcd times the old pivot, entry j zeroed,
-    rejoins the rows, each reduced mod the moduli; last, pivots reduce the
-    entries above.  Without moduli, by `hnf_with_transform`.
+    Worked modulo the d_j (Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987; Cohen, GTM 138, Alg. 2.4.8, one modulus per column): per
+    column j, the rows nonzero mod d_j fold into one pivot by extended
+    gcd, g' becomes gcd(g', d_j), d_j / gcd times the old pivot, entry j
+    zeroed, rejoins the rows, each reduced mod the moduli; last, pivots
+    reduce the entries above.
     """
-    if moduli is None:
-        return tuple(r for r in hnf_with_transform(rows, ncols)[0] if any(r))
     work = [list(r) for r in rows]
     out = []
     for j, d in enumerate(moduli):
@@ -102,8 +100,7 @@ def hnf_with_transform(rows, ncols):
     after column `ncols`, so hrows keeps one row per input row (the zero
     ones last) and urows is the transform over the original row list.
     [M | I] has no relation diagonal and is not of full rank, so this is
-    the one HNF by Euclid over Z with no modulus, for `hnf` without
-    moduli.
+    the one HNF by Euclid over Z with no modulus.
     """
     m = [list(r) + e for r, e in zip(rows, _diagonal([1] * len(rows)))]
     row = 0

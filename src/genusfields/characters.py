@@ -44,8 +44,10 @@ class _UnitAmbient:
     (`one_units`) and the CRT idempotents; the components, one per prime
     of `factorization`; one cached matrix R_p per component for the split
     of the dual, read off the presentation.  Each kind keeps `residues`,
-    which perfbench/tracing.py wraps, and `component_ambient`, the ambient
-    of one component for the reference paths only.  The function kind mod
+    which perfbench/tracing.py wraps, `component_ambient`, the ambient
+    of one component for the reference paths only, and the residues the
+    oracle enumerates at each place (`reduction_kernel`,
+    `infinity_residues`), which no closed form reads.  The function kind mod
     T^n also models the units at infinity (`genus_function.InfinityUnits`)."""
 
     def __init__(self, units):
@@ -123,14 +125,10 @@ class NumericAmbient(_UnitAmbient):
     def residues(self):
         return self.units.residues()
 
-    @property
-    def minus_one(self):
-        return self.modulus - 1
-
     def units_at_infinity(self):
         """Generators of the image of the units at the infinite prime:
         -1, whose class is complex conjugation."""
-        return (self.minus_one,)
+        return (self.modulus - 1,)
 
     def infinity_logs(self):
         return (self.units.minus_one_log,)   # read off, with no dlog
@@ -141,6 +139,10 @@ class NumericAmbient(_UnitAmbient):
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the divisor m."""
         return [u for u in self.residues() if u % m == 1 % m]
+
+    def infinity_residues(self):
+        """The unit at infinity other than 1, as a residue: n - 1."""
+        return [self.modulus - 1]
 
 
 class FunctionFieldAmbient(_UnitAmbient):
@@ -175,6 +177,10 @@ class FunctionFieldAmbient(_UnitAmbient):
         """Units congruent to 1 modulo the monic divisor m."""
         return [u for u in self.residues()
                 if ((u - fqpoly.one(self.field)) % m).is_zero]
+
+    def infinity_residues(self):
+        """Every unit at infinity, as a residue: the constants 1..q - 1."""
+        return [fqpoly.poly(self.field, (c,)) for c in range(1, self.field.q)]
 
 
 @lru_cache(maxsize=512)

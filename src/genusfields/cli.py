@@ -412,7 +412,8 @@ def _oracle_payload(doc, bound):
     amb, x = _abelian_from_doc(doc, bound)
     lattice = oracle.enumerate_subfields(amb)
     extended = oracle.maximal_extended_search(x)
-    payload = {
+    genus = oracle.maximal_genus_search(x)
+    return {
         "kind": kind,
         "modulus": amb.modulus_label(),
         "subgroup_count": len(lattice.subgroups),
@@ -420,13 +421,10 @@ def _oracle_payload(doc, bound):
         "extended_degree": extended.order,
         "extended_matches_closed_form":
             extended == genus_number.extended_genus_characters(x),
+        "genus_degree": genus.order,
+        "genus_matches_closed_form":
+            genus == genus_number.genus_characters(x),
     }
-    if amb.kind == "number":
-        genus = oracle.maximal_genus_search(x)
-        payload["genus_degree"] = genus.order
-        payload["genus_matches_closed_form"] = \
-            genus == genus_number.genus_characters(x)
-    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Brute-force ground truth for the genus computations.
 
 Everything here works at the level of enumerated sets: subgroups of the
-dual are frozensets of exponent vectors, ramification is read off value
-tables on the congruence subgroups, and the extended genus is found by
-exhaustive search rather than by component inflation.  The point is to
-have a second, independent route to every derived value.
+dual are frozensets of exponent vectors, and ramification is read off one
+table of values per place: on the congruence subgroups at each prime, and
+on every unit at infinity (-1 over Q, each constant of F_q* over F_q(T)),
+each unit enumerated and taken through `dlog`.  One exhaustive search
+over the places a group must respect gives the extended genus group (the
+finite places) and the genus group (every place), with no component
+inflation, plus part or read-off log of -1.  The point is to have a
+second, independent route to every derived value.
 """
 
 from __future__ import annotations
@@ -67,61 +71,48 @@ def enumerate_subgroups(group):
     return subgroups
 
 
+INFINITY = "infinity"   # the key of the infinite place; finite ones are primes
+
+
 @dataclass(frozen=True)
 class SubfieldLattice:
     """Every character subgroup of one modulus, with ramification data."""
 
     ambient: object
     subgroups: tuple               # frozensets of dual exponent vectors
-    component_profiles: dict       # frozenset -> {prime key: frozenset of value tuples}
-    parity_profiles: dict          # frozenset -> True when all members even
-
-    def degree(self, s):
-        return len(s)
+    profiles: dict      # frozenset -> {place: frozenset of value tuples}
 
 
 def _value_tables(ambient):
-    """For each prime component, the value tuple of every dual vector on
-    the units congruent to 1 modulo the complementary part."""
+    """For each place, the value tuple of every dual vector on its units:
+    at a prime, the units congruent to 1 modulo the complementary part; at
+    INFINITY, every unit at infinity, enumerated."""
     g = ambient.group
     duals = list(g.elements())
+    blocks = {c.key: ambient.reduction_kernel(ambient.modulus // c.modulus)
+              for c in ambient.components()}
+    blocks[INFINITY] = ambient.infinity_residues()
     tables = {}
-    for component in ambient.components():
-        block = ambient.reduction_kernel(ambient.modulus // component.modulus)
+    for place, block in blocks.items():
         logs = [ambient.dlog(u) for u in block]
-        tables[component.key] = {
+        tables[place] = {
             v: tuple(g.pairing(v, lg) for lg in logs) for v in duals}
     return tables
 
 
-def _parity_vector(ambient):
-    """Value of each dual vector at -1 (numeric ambients only)."""
-    g = ambient.group
-    lg = ambient.dlog(ambient.minus_one)
-    return {v: g.pairing(v, lg) for v in g.elements()}
-
-
 @lru_cache(maxsize=256)
 def _lattice_cached(ambient):
-    g = ambient.group
-    subs = enumerate_subgroups(g)
+    subs = enumerate_subgroups(ambient.group)
     tables = _value_tables(ambient)
-    comp_profiles = {}
-    parity_profiles = {}
-    minus = _parity_vector(ambient) if ambient.kind == "number" else None
-    for s in subs:
-        comp_profiles[s] = {key: frozenset(table[v] for v in s)
-                            for key, table in tables.items()}
-        if minus is not None:
-            parity_profiles[s] = all(minus[v] == 0 for v in s)
+    profiles = {s: {place: frozenset(table[v] for v in s)
+                    for place, table in tables.items()} for s in subs}
     # sanity: the lattice is closed under meet and join
     sub_list = sorted(subs, key=lambda s: (len(s), sorted(s)))
     for a in sub_list:
         for b in sub_list:
             if not (a & b) in subs:
                 raise RuntimeError("lattice not closed under intersection")
-    return SubfieldLattice(ambient, tuple(sub_list), comp_profiles,
-                           parity_profiles)
+    return SubfieldLattice(ambient, tuple(sub_list), profiles)
 
 
 def enumerate_subfields(ambient):
@@ -129,56 +120,37 @@ def enumerate_subfields(ambient):
     return _lattice_cached(ambient)
 
 
-def _as_set(x):
-    return frozenset(x.dual.elements())
-
-
 def _as_group(ambient, s):
     return characters.CharacterGroup(
         ambient, abelian.subgroup_from_generators(ambient.group, sorted(s)))
 
 
-def maximal_extended_search(x):
-    """Largest character group Y whose join with X stays componentwise
-    no bigger than X: the search form of the extended genus group.
-
-    Scans the full subgroup lattice, asserts the candidate set is closed
-    under join, and returns the unique maximum.
-    """
+def _maximal_search(x, places):
+    """Largest character group Y whose values at each of `places` stay
+    within X's: no ramification there beyond X's.  Scans the full subgroup
+    lattice, asserts the candidate set is closed under join, and returns
+    the unique maximum."""
     lattice = enumerate_subfields(x.ambient)
-    xs = _as_set(x)
-    x_profile = lattice.component_profiles[xs]
+    x_profile = lattice.profiles[frozenset(x.dual.elements())]
     candidates = [s for s in lattice.subgroups
-                  if all(lattice.component_profiles[s][key] <= x_profile[key]
-                         for key in x_profile)]
+                  if all(lattice.profiles[s][place] <= x_profile[place]
+                         for place in places)]
     best = max(candidates, key=len)
     for s in candidates:
         if not s <= best:
-            raise RuntimeError("extended-genus candidates not join-closed")
+            raise RuntimeError("maximal-search candidates not join-closed")
     return _as_group(x.ambient, best)
+
+
+def maximal_extended_search(x):
+    """Search form of the extended genus group: the finite places only."""
+    return _maximal_search(x, [c.key for c in x.ambient.components()])
 
 
 def maximal_genus_search(x):
-    """Search form of the genus group: as the extended search, but when X
-    is totally even the candidates must stay even as well (no new
-    ramification at the infinite prime)."""
-    lattice = enumerate_subfields(x.ambient)
-    xs = _as_set(x)
-    x_profile = lattice.component_profiles[xs]
-    x_even = lattice.parity_profiles[xs]
-    candidates = []
-    for s in lattice.subgroups:
-        if not all(lattice.component_profiles[s][key] <= x_profile[key]
-                   for key in x_profile):
-            continue
-        if x_even and not lattice.parity_profiles[s]:
-            continue
-        candidates.append(s)
-    best = max(candidates, key=len)
-    for s in candidates:
-        if not s <= best:
-            raise RuntimeError("genus candidates not join-closed")
-    return _as_group(x.ambient, best)
+    """Search form of the genus group: every place, the infinite one too."""
+    return _maximal_search(
+        x, [c.key for c in x.ambient.components()] + [INFINITY])
 
 
 def count_subgroups_cyclic(n):

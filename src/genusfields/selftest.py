@@ -228,7 +228,7 @@ def _all_subgroups(g):
 def _prime_powers(limit):
     out = []
     for p in range(2, limit + 1):
-        if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if abelian.factorize(p) != [(p, 1)]:
             continue
         n = p
         while n <= limit:

@@ -170,6 +170,22 @@ def test_script_report_matches_golden(name):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".toml")] for f in os.listdir(SCRIPTS) if f.endswith(".toml")
+    and cli.load_document(os.path.join(SCRIPTS, f))["kind"]
+    in cli.ABELIAN_KINDS))
+def test_script_oracle_matches_golden(name):
+    # tests/golden/oracle/<name>.json holds the `oracle --json` report of
+    # each abelian sample descriptor, the genus search included
+    spec = os.path.join(SCRIPTS, name + ".toml")
+    code, out = run_cli(["oracle", "--spec", spec, "--json"])
+    assert code == 0
+    assert json.loads(out)["genus_matches_closed_form"] is True
+    with open(os.path.join(GOLDEN, "oracle", name + ".json"),
+              encoding="utf-8") as fh:
+        assert out == fh.read()
+
+
 def test_json_report_round_trips():
     code, out = run_cli(["number", "--spec",
                          os.path.join(SCRIPTS, "quad_minus5.toml"), "--json"])
@@ -588,8 +604,7 @@ def test_cli_fuzz_exits_cleanly_and_agrees_with_the_oracle(case):
             payload = json.loads(out)
             assert code == 0 and "Traceback" not in err
             assert [payload[k] for k in payload
-                    if k.endswith("_matches_closed_form")] in ([True],
-                                                               [True, True])
+                    if k.endswith("_matches_closed_form")] == [True, True]
 
 
 def test_console_script_is_installed():

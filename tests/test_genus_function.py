@@ -150,6 +150,25 @@ def test_extended_ff_matches_oracle_exhaustively():
                 amb, abelian.subgroup_from_generators(amb.group, sorted(s)))
             assert oracle.maximal_extended_search(x) \
                 == gf.extended_genus_characters_ff(x)
+            assert oracle.maximal_genus_search(x) == gn.genus_characters(x)
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_genus_ff_matches_oracle_sweep(p, s):
+    # every subgroup of every modulus of degree <= 3 with |G| <= 48: the
+    # search over every place, the infinite one by each constant of F_q*,
+    # finds the closed form's genus group
+    fld = fqpoly.fq_field(p, s)
+    for fm in gf.all_factored_moduli(fld, fld.q ** 3):
+        if fm.unit_order() > 48:
+            continue
+        amb = ch.ff_ambient(fm)
+        for sub in oracle.enumerate_subfields(amb).subgroups:
+            x = ch.CharacterGroup(
+                amb, abelian.subgroup_from_generators(amb.group, sorted(sub)))
+            assert oracle.maximal_genus_search(x) == gn.genus_characters(x)
+            assert oracle.maximal_extended_search(x) \
+                == gf.extended_genus_characters_ff(x)
 
 
 def test_genus_ff_index_divides_q_minus_one():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from genusfields import abelian, characters as ch, genus_number as gn, oracle
+from genusfields import abelian, characters as ch, fqpoly, genus_number as gn
+from genusfields import oracle
 from genusfields.errors import BoundExceededError
 
 
@@ -94,21 +95,66 @@ def test_oracle_matches_closed_forms_exhaustively(n):
         assert oracle.maximal_genus_search(x) == gn.genus_characters(x)
 
 
+def _forbid_closed_form_infinity(monkeypatch):
+    """Make the closed forms' units at infinity and their read-off logs
+    raise, so a lattice built after this reaches infinity only by
+    enumerating its residues and taking their dlogs."""
+    def fail(*_):
+        raise AssertionError("the oracle reached a closed-form path")
+    for cls in (ch.NumericAmbient, ch.FunctionFieldAmbient):
+        monkeypatch.setattr(cls, "units_at_infinity", fail)
+        monkeypatch.setattr(cls, "infinity_logs", fail)
+    monkeypatch.setattr(abelian.UnitGroup, "minus_one_log", property(fail))
+    oracle._lattice_cached.cache_clear()
+
+
+def _record_dlogs(monkeypatch, cls):
+    calls = []
+    dlog = cls.dlog
+    monkeypatch.setattr(cls, "dlog", lambda self, u: (
+        calls.append(u), dlog(self, u))[1])
+    return calls
+
+
 @pytest.mark.parametrize("n", [8, 12, 35, 48, 60])
 def test_oracle_parity_takes_the_dlog_of_minus_one(monkeypatch, n):
-    # the oracle's parity profiles stay on `UnitGroup.dlog`, a path
+    # the infinite place's row stays on `UnitGroup.dlog` of n - 1, a path
     # independent of the read-off `minus_one_log` behind the reports
-    calls = []
-    dlog = abelian.UnitGroup.dlog
-    monkeypatch.setattr(abelian.UnitGroup, "dlog", lambda self, u: (
-        calls.append(u), dlog(self, u))[1])
-    oracle._lattice_cached.cache_clear()
+    calls = _record_dlogs(monkeypatch, abelian.UnitGroup)
+    _forbid_closed_form_infinity(monkeypatch)
     amb = ch.NumericAmbient(n)
     lattice = oracle.enumerate_subfields(amb)
     assert n - 1 in calls
+    monkeypatch.undo()
     for s in lattice.subgroups:
-        assert lattice.parity_profiles[s] == all(
+        assert (lattice.profiles[s][oracle.INFINITY] == {(0,)}) == all(
             ch.is_even(ch.Character(amb, v)) for v in s)
+
+
+@pytest.mark.parametrize("p, s, coeffs", [
+    (3, 1, (0, 1, 1)), (2, 2, (1, 1, 1)), (5, 1, (4, 0, 1)), (7, 1, (0, 1, 1)),
+    (3, 2, (0, 1, 1))])
+def test_oracle_infinity_row_takes_the_dlog_of_every_constant(
+        monkeypatch, p, s, coeffs):
+    # over F_q(T) the infinite place's row holds every constant 1..q - 1,
+    # each through `UnitGroupModN.dlog`, not the closed form's generator;
+    # N has two primes, so no constant but 1 lies in a prime's block
+    fld = fqpoly.fq_field(p, s)
+    calls = _record_dlogs(monkeypatch, fqpoly.UnitGroupModN)
+    _forbid_closed_form_infinity(monkeypatch)
+    amb = ch.FunctionFieldAmbient(
+        fqpoly.factor_modulus(fqpoly.poly(fld, coeffs)))
+    lattice = oracle.enumerate_subfields(amb)
+    for c in range(1, fld.q):
+        assert fqpoly.poly(fld, (c,)) in calls
+    full = frozenset(amb.group.elements())
+    assert len(lattice.profiles[full][oracle.INFINITY]) == fld.q - 1
+    for sub in lattice.subgroups:
+        x = ch.CharacterGroup(
+            amb, abelian.subgroup_from_generators(amb.group, sorted(sub)))
+        oracle.maximal_genus_search(x)
+    monkeypatch.undo()
+    oracle._lattice_cached.cache_clear()
 
 
 def test_oracle_fixture_values_for_quadratic_fields():
