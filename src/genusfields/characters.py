@@ -48,7 +48,8 @@ class _UnitAmbient:
     of one component for the reference paths only, and the residues the
     oracle enumerates at each place (`reduction_kernel`,
     `infinity_residues`), which no closed form reads.  The function kind mod
-    T^n also models the units at infinity (`genus_function.InfinityUnits`)."""
+    T^n also holds the units at infinity, which the local-data path of
+    every place reads as it reads (Z/p^level)* (`genus_number`)."""
 
     def __init__(self, units):
         self.units = units

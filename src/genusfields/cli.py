@@ -326,9 +326,8 @@ def _local_number_payload(doc, bound, level_flag):
         h = _subgroup_from_residues(units, residues, where)
         subs.append(h)
         records.append(genus_number.PrimeAboveData(e, f, h))
-    data = genus_number.LocalPrimeData(p, level, tuple(records))
-    degree = genus_number.lp_degree_from_local(data)
-    stable = genus_number.lp_degree_is_stable(data)
+    degree, norm = genus_number.lp_degree_from_local(units, p, records)
+    stable = genus_number.lp_degree_is_stable(units, p, level - 1, norm)
     payload = {
         "kind": doc["kind"],
         "p": p,
@@ -366,32 +365,28 @@ def _local_function_payload(doc, bound, level_flag):
         where = f"primes[{i}]"
         e = _need(entry, "e", int, where)
         t = _need(entry, "t", int, where)
-        h = None
-        if "norm_generators" in entry:
-            gens = entry["norm_generators"]
-            if gens == "full":
-                h = infinity.full_subgroup()
-            else:
-                if not isinstance(gens, list):
-                    raise SchemaError(f"{where}: norm_generators must be an "
-                                      "array or \"full\"")
-                elements = []
-                for vec in gens:
-                    if len(_int_array(vec, where)) != max(n_max, 1):
-                        raise SchemaError(
-                            f"{where}: each norm generator is "
-                            f"[c, a_1, ..., a_{n_max - 1}]")
-                    c, tail = vec[0], tuple(vec[1:])
-                    if not 1 <= c < fld.q \
-                            or any(a < 0 or a >= fld.q for a in tail):
-                        raise SchemaError(
-                            f"{where}: generator entries must be field "
-                            "elements with a nonzero constant part")
-                    elements.append((c, tail))
-                h = infinity.subgroup(elements)
-        records.append(genus_function.InfinitePrimeRecord(e, t, h))
-    data = genus_function.InfinitePrimeData(tuple(records))
-    inv = genus_function.s_field_invariants(data, infinity)
+        gens = entry.get("norm_generators", "full")
+        h = None  # no norm data: all the units at infinity
+        if gens != "full":
+            if not isinstance(gens, list):
+                raise SchemaError(f"{where}: norm_generators must be an "
+                                  "array or \"full\"")
+            vecs = []
+            for vec in gens:
+                if len(_int_array(vec, where)) != max(n_max, 1):
+                    raise SchemaError(
+                        f"{where}: each norm generator is "
+                        f"[c, a_1, ..., a_{n_max - 1}]")
+                c, tail = vec[0], tuple(vec[1:])
+                if not 1 <= c < fld.q \
+                        or any(a < 0 or a >= fld.q for a in tail):
+                    raise SchemaError(
+                        f"{where}: generator entries must be field "
+                        "elements with a nonzero constant part")
+                vecs.append(infinity.dlog((c, tail)))
+            h = abelian.subgroup_from_generators(infinity.group, vecs)
+        records.append(genus_number.PrimeAboveData(e, t, h))
+    inv = genus_function.s_field_invariants(records, infinity)
     return {
         "kind": doc["kind"],
         "q": fld.q,

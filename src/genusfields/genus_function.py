@@ -7,7 +7,11 @@ the one pipeline in `genus_number`; the entry points here check that the
 modulus is a polynomial.  The infinite prime sits at pi = 1/T; its local
 units are modeled by the finite quotient F_q* x U^(1)/U^(n_max), which is
 (F_q[T]/T^n_max)* under pi -> T and so reuses the unit group of the
-finite primes, with a free integer coordinate for the pi-valuation.
+finite primes; the pi-valuation of the norms is read off the residue
+degrees t, not modeled as a coordinate.  Its norm data goes through the
+local-data path of every place in `genus_number` (`PrimeAboveData`,
+`lp_degree_from_local`, `lp_degree_is_stable`), as the data at p^level
+and P^level does.
 """
 
 from __future__ import annotations
@@ -297,24 +301,6 @@ def tame_ramification_ff(d_p, e, q):
     return gcd(q ** d_p - 1, e)
 
 
-def ep_degree_from_local(p_, level, norm_subgroups, ramification_indices=None):
-    """[E_P : k] as the index of the product of the norm subgroups in the
-    units modulo P^level; optionally also the tame gcd."""
-    amb = characters.ff_ambient(fqpoly.factored(p_.field, [(p_, level)]))
-    subs = []
-    for h in norm_subgroups:
-        if h.ambient != amb.group:
-            raise SchemaError("norm subgroup lives at a different level")
-        subs.append(h)
-    if not subs:
-        raise SchemaError("at least one norm subgroup required")
-    degree = reduce(abelian.product, subs).index
-    if ramification_indices is None:
-        return degree
-    tame = reduce(gcd, ramification_indices, p_.field.q ** p_.degree - 1)
-    return degree, tame
-
-
 # ---------------------------------------------------------------------------
 # The infinite prime: finite model of the local units
 
@@ -342,57 +328,15 @@ class InfinityUnits:
                 f"size {size} exceeds the bound {2 ** 12}")
         self.field = fld
         self.n_max = n_max
+        self.key = fqpoly.variable(fld)  # T, the image of pi
         self.ambient = characters.ff_ambient(
-            fqpoly.factored(fld, [(fqpoly.variable(fld), n_max)]))
+            fqpoly.factored(fld, [(self.key, n_max)]))
         self.group = self.ambient.group
 
     def dlog(self, x):
         c, tail = x
         return self.ambient.dlog(
             fqpoly.poly(self.field, (1,) + tuple(tail)).scale(c))
-
-    def subgroup(self, elements):
-        """Subgroup of the canonical group generated by concrete elements."""
-        return abelian.subgroup_from_generators(
-            self.group, [self.dlog(x) for x in elements])
-
-    def full_subgroup(self):
-        return abelian.full_subgroup(self.group)
-
-    def one_units_subgroup(self, n):
-        """Image of U^(n): 1-units congruent to 1 modulo pi^n (n >= 1);
-        n = 0 gives the whole quotient."""
-        (t, _), = self.ambient.factorization
-        return abelian.subgroup_from_generators(
-            self.group, self.ambient.units.one_units(t, n))
-
-
-@dataclass(frozen=True)
-class InfinitePrimeRecord:
-    """One prime of K above the infinite prime of k."""
-
-    e: int
-    t: int
-    # Subgroup of InfinityUnits.group: (F_q[T]/T^n_max)* under pi -> T
-    norm_subgroup: object = None
-
-    def __post_init__(self):
-        if self.e < 1 or self.t < 1:
-            raise SchemaError("e and t must be positive")
-
-
-@dataclass(frozen=True)
-class InfinitePrimeData:
-    primes_above_infinity: tuple
-
-    def __post_init__(self):
-        if not self.primes_above_infinity:
-            raise SchemaError("at least one infinite prime required")
-
-    @property
-    def has_norm_data(self):
-        return all(rec.norm_subgroup is not None
-                   for rec in self.primes_above_infinity)
 
 
 @dataclass(frozen=True)
@@ -421,34 +365,26 @@ def _minimal_p_power_index_supergroup(group, sub, p):
     return abelian.subgroup_from_generators(group, gens)
 
 
-def s_field_invariants(data, infinity):
+def s_field_invariants(primes_above, infinity):
     """Invariants (t0, n0, m0, alpha) of the field S attached to the
-    behavior at the infinite prime.
+    behavior at the infinite prime, from the primes above it
+    (`genus_number.PrimeAboveData`, whose f is the residue degree t).
 
-    t0 is the gcd of the residue degrees; the group script-S is the
-    smallest p-power-index supergroup of the product of the norm
-    subgroups; alpha is its index exponent; n0 the first level whose
-    1-units land inside script-S; m0 combines t0 with the residual
-    ramification over the level-n0 field.
+    t0 is the gcd of the t_i, and also f_infinity: the value group of the
+    compositum's norms is generated by the t_i.  The group script-S is
+    the smallest p-power-index supergroup of the norm group N that the
+    local path reads off (T^n_max)* (`genus_number.lp_degree_from_local`);
+    alpha is its index exponent, and n0 the first level b whose 1-units
+    U^(b) it contains (`genus_number.lp_degree_is_stable`).  m0 is t0
+    times the ramification of S over the level-n0 field, the index of
+    script-S in its product with U^(n0); by the choice of n0 that product
+    is script-S, so m0 = t0 and the model says nothing of m0 beyond t0.
     """
-    recs = data.primes_above_infinity
-    # t0 is also f_infinity: the value group of the compositum's norms is
-    # generated by the t_i
-    t0 = reduce(gcd, (rec.t for rec in recs))
-    if not data.has_norm_data:
-        # no unit-level data: treat the unit norms as full
-        script_s = infinity.full_subgroup()
-    else:
-        subs = []
-        for rec in recs:
-            h = rec.norm_subgroup
-            if h.ambient != infinity.group:
-                raise SchemaError(
-                    "norm subgroup lives in a different infinite-prime model")
-            subs.append(h)
-        product = reduce(abelian.product, subs)
-        script_s = _minimal_p_power_index_supergroup(
-            infinity.group, product, infinity.field.p)
+    units, key = infinity.ambient.units, infinity.key
+    _, norm = genus_number.lp_degree_from_local(units, key, primes_above)
+    t0 = reduce(gcd, (rec.f for rec in primes_above))
+    script_s = _minimal_p_power_index_supergroup(
+        infinity.group, norm, infinity.field.p)
     index = script_s.index
     alpha = 0
     while index % infinity.field.p == 0:
@@ -456,23 +392,12 @@ def s_field_invariants(data, infinity):
         alpha += 1
     if index != 1:
         raise RuntimeError("script-S index is not a p-power")
-
-    n0 = infinity.n_max
-    for n in range(infinity.n_max):
-        image = infinity.one_units_subgroup(n)
-        if abelian.product(script_s, image) == script_s:
-            n0 = n
-            break
-    if n0 == infinity.n_max:
+    n0 = next((b for b in range(infinity.n_max) if
+               genus_number.lp_degree_is_stable(units, key, b, script_s)),
+              None)
+    if n0 is None:
         # the level-n_max image is trivial, so containment there says
         # nothing about the next level
         raise PrecisionError(
             "level n_max is too coarse to certify n0; raise n_max")
-    # ramification of S over its intersection with the level-n0 field:
-    # the 1-units at level n0 already lie inside script-S, so the index
-    # of their join measures any residual ramification
-    join = abelian.product(script_s, infinity.one_units_subgroup(n0))
-    e_res = join.order // script_s.order
-    m0 = t0 * e_res
-    return SFieldInvariants(t0=t0, n0=n0, m0=m0, alpha=alpha,
-                            f_infinity=t0)
+    return SFieldInvariants(t0=t0, n0=n0, m0=t0, alpha=alpha, f_infinity=t0)

@@ -6,7 +6,8 @@ F_q(T)).  The genus field adds to X the part of that product trivial on
 the units at the infinite prime: -1 over Q, the constants F_q* over
 F_q(T), whose fixed field is Hayes' real subfield.  One pipeline serves
 both ambient kinds.  For non-abelian K the same degree formulas run off
-user-supplied local norm subgroups at a finite 2-adic or p-adic level.
+user-supplied local norm subgroups at a finite level, on one path for
+every place: the units modulo p^level, P^level, or T^n_max at infinity.
 """
 
 from __future__ import annotations
@@ -85,11 +86,16 @@ def compose_genus(x1, x2):
 
 # ---------------------------------------------------------------------------
 # Local-data mode (norm subgroups at a finite level)
+#
+# Every place reads its data off one CRTUnitGroup of a prime power,
+# `(units, key)`: (Z/p^level)*, (F_q[T]/P^level)*, or (F_q[T]/T^n_max)* for
+# the units at the infinite prime of F_q(T) under pi = 1/T -> T.
 
 @dataclass(frozen=True)
 class PrimeAboveData:
-    """One prime of K over p: ramification index, residue degree, and the
-    norm group of local units at the working level."""
+    """One prime of K above a place of k: ramification index, residue
+    degree (t at the infinite prime), and the norm group of local units
+    at the working level; None means no norm data, i.e. all the units."""
 
     e: int
     f: int
@@ -100,59 +106,39 @@ class PrimeAboveData:
             raise SchemaError("ramification and residue degrees are positive")
 
 
-@dataclass(frozen=True)
-class LocalPrimeData:
-    """All primes of K above one rational prime, at one working level."""
+def lp_degree_from_local(units, key, primes_above):
+    """([L_p : k], N) at the place `key`, whose local units at the
+    working level are `units`: N is the product of the norm subgroups of
+    the primes above (`PrimeAboveData`), and the degree is its index.
 
-    p: int
-    level: int
-    primes_above: tuple
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise SchemaError("level must be positive")
-        if not self.primes_above:
-            raise SchemaError("at least one prime above p required")
-
-
-def lp_degree_from_local(data):
-    """[L_p : Q] as the index of the product of the norm subgroups in the
-    unit group at the working level.
-
-    For odd p this equals the gcd of the individual indices; that identity
-    is asserted as a cross-check.
+    Where the units are cyclic the index equals the gcd of the individual
+    indices; that identity is asserted as a cross-check.
     """
-    amb = abelian.unit_group(data.p ** data.level)
-    subs = []
-    for rec in data.primes_above:
-        if rec.norm_subgroup is None:
-            raise SchemaError("every prime above p needs a norm subgroup")
-        if rec.norm_subgroup.ambient != amb.group:
-            raise SchemaError(
-                "norm subgroup lives at a different level than the data")
-        subs.append(rec.norm_subgroup)
-    prod_sub = reduce(abelian.product, subs)
-    degree = prod_sub.index
-    if data.p > 2:
-        expected = reduce(gcd, (s.index for s in subs))
-        if degree != expected:
-            raise RuntimeError(
-                "product index disagrees with the gcd of indices at odd p")
-    return degree
+    if not primes_above:
+        raise SchemaError(f"at least one prime above {key} required")
+    subs = [abelian.full_subgroup(units.group) if rec.norm_subgroup is None
+            else rec.norm_subgroup for rec in primes_above]
+    for h in subs:
+        if h.ambient != units.group:
+            raise SchemaError(f"norm subgroup at {key} lives in {h.ambient}, "
+                              f"not in the local units {units.group}")
+    norm = reduce(abelian.product, subs)
+    if units.group.rank <= 1 \
+            and norm.index != reduce(gcd, (h.index for h in subs)):
+        raise RuntimeError(
+            "product index disagrees with the gcd of indices in cyclic units")
+    return norm.index, norm
 
 
-def lp_degree_is_stable(data):
-    """Whether the level already determines the index.
-
-    True when the product of the norm subgroups contains every unit
-    congruent to 1 modulo p^(level-1); then raising the level cannot
-    change the index.
-    """
-    units = abelian.unit_group(data.p ** data.level)
-    prod_sub = reduce(abelian.product,
-                      [rec.norm_subgroup for rec in data.primes_above])
-    return all(map(prod_sub.contains,
-                   units.one_units(data.p, data.level - 1)))
+def lp_degree_is_stable(units, key, b, norm):
+    """Whether level b already fixes the index of the norm group `norm`:
+    U^(b), the units = 1 modulo key^b read off the presentation
+    (`abelian.CRTUnitGroup.one_units`), lies in it.  At b = level - 1
+    this is the stability of the working level: raising it cannot change
+    the index."""
+    if b < 0:
+        raise SchemaError("level must be positive")
+    return all(map(norm.contains, units.one_units(key, b)))
 
 
 def tame_degree(p, ramification_indices):
@@ -201,8 +187,8 @@ def classify_l2(h, modulus, m=None):
     k = _two_power_level(modulus)
     if k < 2:
         raise SchemaError("modulus must be a 2-power of at least 4")
-    amb = characters.numeric_ambient(modulus)
-    if amb.group != h.ambient:
+    units = abelian.unit_group(modulus)
+    if units.group != h.ambient:
         raise SchemaError(
             "subgroup does not live in the unit group of the stated modulus")
     m_found = _two_power_level(h.index)
@@ -212,11 +198,11 @@ def classify_l2(h, modulus, m=None):
     if m == 0:
         return L2Classification(PLUS_FIELD, 0, "Q")
 
-    if h.contains(amb.units.minus_one_log):
+    if h.contains(units.minus_one_log):
         return L2Classification(PLUS_FIELD, m, f"Q(zeta_{2 ** (m + 2)})^+")
-    kernel = abelian.subgroup_from_generators(
-        amb.group, amb.units.one_units(2, m + 1))
-    if h == kernel:
+    # the congruence kernel U^(m+1) has index 2^m, as h does, so h is it
+    # exactly when h contains it: the level test at b = m + 1
+    if lp_degree_is_stable(units, 2, m + 1, h):
         return L2Classification(FULL_CYCLOTOMIC, m, f"Q(zeta_{2 ** (m + 1)})")
     if k < m + 2:
         raise PrecisionError(

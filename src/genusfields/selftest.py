@@ -435,10 +435,9 @@ def criterion_s_field(bound=None):
     for _ in range(100):
         inf = rng.choice((inf2, inf3))
         ts = [rng.randrange(1, 40) for _ in range(rng.randrange(1, 5))]
-        data = genus_function.InfinitePrimeData(
-            tuple(genus_function.InfinitePrimeRecord(1, t, inf.full_subgroup())
-                  for t in ts))
-        inv = genus_function.s_field_invariants(data, inf)
+        full = abelian.full_subgroup(inf.group)
+        inv = genus_function.s_field_invariants(
+            [genus_number.PrimeAboveData(1, t, full) for t in ts], inf)
         if inv.t0 != reduce(math.gcd, ts):
             return CriterionResult(9, "S-field invariants", False,
                                    f"t0 is not the gcd of {ts}")
@@ -446,17 +445,17 @@ def criterion_s_field(bound=None):
             return CriterionResult(
                 9, "S-field invariants", False,
                 f"residue degree at infinity disagrees with t0 for {ts}")
-    data = genus_function.InfinitePrimeData(
-        (genus_function.InfinitePrimeRecord(1, 1, inf2.full_subgroup()),))
-    inv = genus_function.s_field_invariants(data, inf2)
+    inv = genus_function.s_field_invariants(
+        [genus_number.PrimeAboveData(1, 1, abelian.full_subgroup(inf2.group))],
+        inf2)
     if (inv.t0, inv.n0, inv.m0, inv.alpha) != (1, 0, 1, 0):
         return CriterionResult(
             9, "S-field invariants", False,
             f"split infinite prime gave {(inv.t0, inv.n0, inv.m0, inv.alpha)}")
-    wild = genus_function.InfinitePrimeData(
-        (genus_function.InfinitePrimeRecord(
-            2, 1, inf2.one_units_subgroup(2)),))
-    inv = genus_function.s_field_invariants(wild, inf2)
+    u2 = abelian.subgroup_from_generators(
+        inf2.group, inf2.ambient.units.one_units(inf2.key, 2))
+    inv = genus_function.s_field_invariants(
+        [genus_number.PrimeAboveData(2, 1, u2)], inf2)
     if (inv.alpha, inv.n0, inv.m0) != (1, 2, 1):
         return CriterionResult(9, "S-field invariants", False,
                                "wild quadratic fixture changed")

@@ -540,17 +540,19 @@ def test_filtration_paths_take_no_dlog(monkeypatch, make):
     small = ch.character_group(amb, [ch.Character(amb, amb.group.reduce(
         (1,) * amb.group.rank))])
     units27, units16 = abelian.unit_group(27), abelian.unit_group(16)
-    stable = gn.LocalPrimeData(3, 3, (gn.PrimeAboveData(
-        2, 1, abelian.subgroup_from_generators(units27.group, [(2,)])),))
+    h27 = abelian.subgroup_from_generators(units27.group, [(2,)])
     h16 = abelian.subgroup_from_generators(units16.group, [(0, 1)])
     inf = gf.InfinityUnits(fqpoly.fq_field(3), 4)
     ch.component_split.cache_clear()
     calls = _count_dlogs(monkeypatch)
     for y in (x, small):
         ch.conductor_exponents(y)
-    assert gn.lp_degree_is_stable(stable)
-    assert [inf.one_units_subgroup(n).order for n in range(5)] \
-        == [54, 27, 9, 3, 1]
+    _, norm27 = gn.lp_degree_from_local(
+        units27, 3, [gn.PrimeAboveData(2, 1, h27)])
+    assert gn.lp_degree_is_stable(units27, 3, 2, norm27)
+    assert [abelian.subgroup_from_generators(
+        inf.group, inf.ambient.units.one_units(inf.key, n)).order
+        for n in range(5)] == [54, 27, 9, 3, 1]
     assert calls == []
     assert gn.classify_l2(h16, 16).tag == gn.FULL_CYCLOTOMIC
     assert calls == []

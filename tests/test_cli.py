@@ -479,6 +479,42 @@ def test_number_report_takes_no_dlog(monkeypatch, name):
         assert code == 0 and made == []
 
 
+@pytest.mark.parametrize("p, level, residues", [
+    (5, 2, ([7], [6])), (2, 4, ([15], [5]))], ids=["odd", "two"])
+def test_number_local_report_forms_the_norm_product_once(
+        monkeypatch, tmp_path, p, level, residues):
+    # the local degree and the level test read one product of the norm
+    # subgroups
+    spec = tmp_path / "local.toml"
+    spec.write_text(
+        f'kind = "number-local"\np = {p}\nlevel = {level}\n' + "".join(
+            f"[[primes]]\ne = 2\nf = 1\nnorm_residues = {r}\n"
+            for r in residues))
+    calls = []
+    product = abelian.product
+    monkeypatch.setattr(abelian, "product", lambda a, b: (
+        calls.append((a, b)), product(a, b))[1])
+    for flag in ([], ["--json"]):
+        calls.clear()
+        assert run_cli(["number", "--spec", str(spec)] + flag)[0] == 0
+        assert len(calls) == 1
+
+
+def test_function_local_entry_without_norm_data_counts_as_full(tmp_path):
+    head = 'kind = "function-local"\nq = 3\nn_max = 4\n'
+    first = "[[primes]]\ne = 4\nt = 3\nnorm_generators = {}\n"
+    second = "[[primes]]\ne = 1\nt = 6\n"
+    mixed, full = tmp_path / "mixed.toml", tmp_path / "full.toml"
+    mixed.write_text(head + first.format("[[2, 2, 1, 1], [1, 0, 0, 1]]")
+                     + second)
+    full.write_text(head + first.format('"full"') + second
+                    + 'norm_generators = "full"\n')
+    for flag in ([], ["--json"]):
+        code, out = run_cli(["function", "--spec", str(mixed)] + flag)
+        assert code == 0
+        assert (code, out) == run_cli(["function", "--spec", str(full)] + flag)
+
+
 def test_quadratic_reports_take_no_dlog(monkeypatch, tmp_path):
     made = _count_logs(monkeypatch)
     rng = random.Random(1901)

@@ -243,32 +243,40 @@ def test_tame_ramification_ff():
         assert gf.tame_ramification_ff(d, q ** d - 1, q) == q ** d - 1
 
 
+def _local_degree(units, key, *subs):
+    return gn.lp_degree_from_local(
+        units, key, [gn.PrimeAboveData(1, 1, h) for h in subs])[0]
+
+
 def test_ep_degree_from_local():
+    # [E_P : k] on the local path of every place, at P = T
     t3 = fqpoly.variable(F3)
     amb = ch.ff_ambient(fqpoly.factored(F3, [(t3, 1)]))
     full = abelian.full_subgroup(amb.group)
-    assert gf.ep_degree_from_local(t3, 1, [full]) == 1
+    assert _local_degree(amb.units, t3, full) == 1
     triv = abelian.trivial_subgroup(amb.group)
-    assert gf.ep_degree_from_local(t3, 1, [triv]) == 2
-    # cyclic order-12 level-1 quotient: subgroups of indices 4 and 6
+    assert _local_degree(amb.units, t3, triv) == 2
+    # cyclic order-12 level-1 quotient: subgroups of indices 4 and 6, and
+    # the gcd cross-check runs
     F13 = fqpoly.fq_field(13)
     t13 = fqpoly.variable(F13)
     amb13 = ch.ff_ambient(fqpoly.factored(F13, [(t13, 1)]))
-    assert amb13.group.order == 12
+    assert amb13.group.order == 12 and amb13.group.rank == 1
     h4 = abelian.subgroup_from_generators(amb13.group, [(4,)])
     h6 = abelian.subgroup_from_generators(amb13.group, [(6,)])
     assert h4.index == 4 and h6.index == 6
-    assert gf.ep_degree_from_local(t13, 1, [h4, h6]) == 2
-    degree, tame = gf.ep_degree_from_local(t13, 1, [h4, h6], [4, 6])
-    assert degree == 2 and tame == math.gcd(4, 6, 12)
+    assert _local_degree(amb13.units, t13, h4, h6) == 2
+    assert gf.tame_ramification_ff(1, math.gcd(4, 6), 13) \
+        == math.gcd(4, 6, 12)
 
 
 def test_ep_degree_rejects_wrong_level():
     t3 = fqpoly.variable(F3)
+    amb1 = ch.ff_ambient(fqpoly.factored(F3, [(t3, 1)]))
     amb2 = ch.ff_ambient(fqpoly.factored(F3, [(t3, 2)]))
     h = abelian.full_subgroup(amb2.group)
     with pytest.raises(SchemaError):
-        gf.ep_degree_from_local(t3, 1, [h])
+        _local_degree(amb1.units, t3, h)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +304,12 @@ def _series_mul(fld, n_max, x, y):
     return (c, tuple(out[1:]))
 
 
+def _one_units(inf, n):
+    """U^(n) at infinity, generated by its dlog vectors."""
+    return abelian.subgroup_from_generators(
+        inf.group, inf.ambient.units.one_units(inf.key, n))
+
+
 def test_infinity_units_round_trip_and_homomorphism():
     # dlog on every pair (c, tail) is a bijection onto the group and a
     # homomorphism for the truncated-series law; U^(n) is the span of
@@ -312,13 +326,14 @@ def test_infinity_units_round_trip_and_homomorphism():
                 assert logs[_series_mul(fld, n_max, x, y)] \
                     == inf.group.add(logs[x], logs[y])
         for n in range(1, n_max + 1):
-            assert inf.one_units_subgroup(n) == inf.subgroup(
-                [x for x in pairs if x[0] == 1 and not any(x[1][:n - 1])])
+            assert _one_units(inf, n) == abelian.subgroup_from_generators(
+                inf.group, [logs[x] for x in pairs
+                            if x[0] == 1 and not any(x[1][:n - 1])])
 
 
 def test_one_unit_filtration_is_decreasing():
     inf = gf.InfinityUnits(F2, 4)
-    orders = [inf.one_units_subgroup(n).order for n in range(5)]
+    orders = [_one_units(inf, n).order for n in range(5)]
     assert orders[0] == inf.group.order
     for a, b in zip(orders, orders[1:]):
         assert a % b == 0 and a >= b
@@ -357,18 +372,20 @@ def test_bound_messages_name_size_and_bound(build, size, bound):
     assert str(size) in words and str(bound) in words
 
 
+def _primes_above(*records):
+    return [gn.PrimeAboveData(*rec) for rec in records]
+
+
 def test_s_field_split_infinity():
     inf = gf.InfinityUnits(F2, 3)
-    data = gf.InfinitePrimeData(
-        (gf.InfinitePrimeRecord(1, 1, inf.full_subgroup()),))
+    data = _primes_above((1, 1, abelian.full_subgroup(inf.group)))
     inv = gf.s_field_invariants(data, inf)
     assert (inv.t0, inv.n0, inv.m0, inv.alpha) == (1, 0, 1, 0)
 
 
 def test_s_field_t0_is_gcd():
     inf = gf.InfinityUnits(F2, 2)
-    data = gf.InfinitePrimeData(
-        tuple(gf.InfinitePrimeRecord(1, t) for t in (2, 4, 6)))
+    data = _primes_above(*((1, t) for t in (2, 4, 6)))
     inv = gf.s_field_invariants(data, inf)
     assert inv.t0 == 2
     assert inv.f_infinity == 2
@@ -376,8 +393,8 @@ def test_s_field_t0_is_gcd():
 
 def test_s_field_wild_quadratic_at_infinity():
     inf = gf.InfinityUnits(F2, 3)
-    h = inf.one_units_subgroup(2)
-    data = gf.InfinitePrimeData((gf.InfinitePrimeRecord(2, 1, h),))
+    h = _one_units(inf, 2)
+    data = _primes_above((2, 1, h))
     inv = gf.s_field_invariants(data, inf)
     assert inv.alpha == 1 and inv.n0 == 2
     assert inv.t0 == 1 and inv.m0 == 1 and inv.f_infinity == 1
@@ -385,8 +402,7 @@ def test_s_field_wild_quadratic_at_infinity():
 
 def test_s_field_precision_error_when_level_too_coarse():
     inf = gf.InfinityUnits(F2, 3)
-    data = gf.InfinitePrimeData(
-        (gf.InfinitePrimeRecord(4, 1, abelian.trivial_subgroup(inf.group)),))
+    data = _primes_above((4, 1, abelian.trivial_subgroup(inf.group)))
     with pytest.raises(PrecisionError):
         gf.s_field_invariants(data, inf)
 
@@ -397,9 +413,8 @@ def test_s_field_f_infinity_matches_t0():
     inf = gf.InfinityUnits(F3, 2)
     for _ in range(100):
         ts = [rng.randrange(1, 30) for _ in range(rng.randrange(1, 5))]
-        data = gf.InfinitePrimeData(
-            tuple(gf.InfinitePrimeRecord(1, t, inf.full_subgroup())
-                  for t in ts))
+        data = _primes_above(
+            *((1, t, abelian.full_subgroup(inf.group)) for t in ts))
         inv = gf.s_field_invariants(data, inf)
         assert inv.t0 == math.gcd(*ts) if len(ts) > 1 else inv.t0 == ts[0]
         assert inv.f_infinity == inv.t0

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusfields import abelian, characters as ch, genus_number as gn
+from genusfields import abelian, characters as ch, fqpoly
+from genusfields import genus_function as gf, genus_number as gn, oracle
 from genusfields.errors import SchemaError
 
 
@@ -188,15 +189,18 @@ def test_extended_genus_is_multiplicative_on_samples():
 # ---------------------------------------------------------------------------
 # Local-data degree formulas
 
+def _local(units, key, *subs):
+    """(degree, norm group) on the local path, one prime above per subgroup."""
+    return gn.lp_degree_from_local(
+        units, key, [gn.PrimeAboveData(1, 1, h) for h in subs])
+
+
 def test_lp_degree_odd_prime_matches_gcd():
     units = abelian.unit_group(5)
     g = units.group
     h_index2 = abelian.subgroup_from_generators(g, [(2,)])
     h_index4 = abelian.trivial_subgroup(g)
-    data = gn.LocalPrimeData(5, 1, (
-        gn.PrimeAboveData(1, 1, h_index2),
-        gn.PrimeAboveData(1, 1, h_index4)))
-    assert gn.lp_degree_from_local(data) == 2
+    assert _local(units, 5, h_index2, h_index4)[0] == 2
 
 
 def test_lp_degree_at_two_product_not_gcd():
@@ -205,19 +209,15 @@ def test_lp_degree_at_two_product_not_gcd():
     h1 = abelian.subgroup_from_generators(g, [units.dlog(3)])
     h2 = abelian.subgroup_from_generators(g, [units.dlog(5)])
     assert h1.index == 2 and h2.index == 2
-    data = gn.LocalPrimeData(2, 3, (
-        gn.PrimeAboveData(2, 1, h1),
-        gn.PrimeAboveData(2, 1, h2)))
     # the product of the two index-2 subgroups is everything
-    assert gn.lp_degree_from_local(data) == 1
+    assert _local(units, 2, h1, h2)[0] == 1
 
 
 def test_lp_degree_rejects_mismatched_level():
     units = abelian.unit_group(25)
     h = abelian.full_subgroup(units.group)
-    data = gn.LocalPrimeData(5, 1, (gn.PrimeAboveData(1, 1, h),))
     with pytest.raises(SchemaError):
-        gn.lp_degree_from_local(data)
+        _local(abelian.unit_group(5), 5, h)
 
 
 def test_lp_degree_stability():
@@ -226,12 +226,70 @@ def test_lp_degree_stability():
     # subgroup containing all units = 1 mod 5: stable at level 2
     kern = abelian.subgroup_from_generators(
         g, [units.dlog(u) for u in units.residues() if u % 5 == 1])
-    data = gn.LocalPrimeData(5, 2, (gn.PrimeAboveData(1, 1, kern),))
-    assert gn.lp_degree_is_stable(data)
+    assert gn.lp_degree_is_stable(units, 5, 1, _local(units, 5, kern)[1])
     # trivial subgroup: the level never certifies the index
-    data = gn.LocalPrimeData(
-        5, 2, (gn.PrimeAboveData(1, 1, abelian.trivial_subgroup(g)),))
-    assert not gn.lp_degree_is_stable(data)
+    triv = _local(units, 5, abelian.trivial_subgroup(g))[1]
+    assert not gn.lp_degree_is_stable(units, 5, 1, triv)
+
+
+def test_local_path_input_checks():
+    units = abelian.unit_group(9)
+    full = abelian.full_subgroup(units.group)
+    with pytest.raises(SchemaError):
+        gn.lp_degree_from_local(units, 3, [])
+    with pytest.raises(SchemaError):
+        gn.lp_degree_is_stable(units, 3, -1, full)
+    for e, f in ((0, 1), (1, 0)):
+        with pytest.raises(SchemaError):
+            gn.PrimeAboveData(e, f, full)
+    # no norm data counts as all the units
+    assert _local(units, 3, None, abelian.trivial_subgroup(units.group)) \
+        == (1, full)
+
+
+def _first_stable_level(units, key, norm):
+    b = 0
+    while not gn.lp_degree_is_stable(units, key, b, norm):
+        b += 1
+    return b
+
+
+def _local_path_agrees_with_reports(amb):
+    """Per subgroup X of the dual and per place: the norm group N_p, the
+    local units killed by the component X_p (`component_decompose`), has
+    index e_p on the local path, and the least b with U^(b) inside it is
+    the conductor exponent f_p of the report.  Returns the number of
+    subgroups and of places checked."""
+    subgroups = places = 0
+    for s in oracle.enumerate_subgroups(amb.group):
+        x = ch.CharacterGroup(
+            amb, abelian.subgroup_from_generators(amb.group, sorted(s)))
+        rows = {key: (e, f) for key, e, _, _, f in gn.build_report(x).primes}
+        for key, xp in ch.component_decompose(x).items():
+            units = xp.ambient.units
+            n_p = abelian.pairing_kernel(
+                abelian.full_subgroup(units.group),
+                [chi.exponents for chi in xp.generators()])
+            degree, norm = _local(units, key, n_p)
+            assert (degree, _first_stable_level(units, key, norm)) \
+                == rows[key], (amb, sorted(s), key)
+            places += 1
+        subgroups += 1
+    return subgroups, places
+
+
+def test_local_path_matches_reports_over_q():
+    counts = [_local_path_agrees_with_reports(ch.numeric_ambient(n))
+              for n in range(2, 101)]
+    assert tuple(map(sum, zip(*counts))) == (1224, 2351)
+
+
+def test_local_path_matches_reports_over_fq_t():
+    counts = [_local_path_agrees_with_reports(ch.ff_ambient(fm))
+              for fld in (fqpoly.fq_field(2), fqpoly.fq_field(3),
+                          fqpoly.fq_field(2, 2))
+              for fm in gf.all_factored_moduli(fld, 32)]
+    assert tuple(map(sum, zip(*counts))) == (648, 1066)
 
 
 def test_tame_degree_examples():
@@ -298,7 +356,6 @@ def test_classify_l2_exactly_one_branch_small():
     for k in (2, 3, 4, 5):
         n = 1 << k
         units = abelian.unit_group(n)
-        from genusfields import oracle
         for s in oracle.enumerate_subgroups(units.group):
             idx = units.group.order // len(s)
             if idx & (idx - 1):
