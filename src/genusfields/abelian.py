@@ -8,6 +8,17 @@ diag(d_1, ..., d_k).  The HNF is unique for a given lattice, so two
 Subgroup values compare equal exactly when the subgroups coincide.  Every
 subgroup HNF runs modulo one relation per column, with no relation row
 stacked (Domich, Kannan and Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
+The join of any number of subgroups is one HNF of all their rows.
+
+The structure of a finite quotient (the group modulo a subgroup, a
+subgroup itself, a product of cyclic groups) is read one prime at a time:
+for l^v || e, e the ambient exponent, its l-part is the Smith normal form
+over the local ring Z/l^v, where an entry of least l-valuation divides
+its whole block, so each pivot takes one elimination pass.  The Euclid
+SNF over Z stays for `snf_with_transform`, whose column transform V fixes
+the canonical generators and so every printed generator and character
+vector, and for `smith_normal_form`, the reference the tests compare
+with.
 
 Also provides the unit groups (Z/nZ)* with exact discrete logarithms,
 which is the finite-level model used everywhere a p-adic unit group
@@ -21,7 +32,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import AmbientMismatchError, BoundExceededError, DimensionError
 
@@ -204,10 +215,81 @@ def _diagonal(entries):
             for i, d in enumerate(entries)]
 
 
-def _invariant_group(rows, ncols):
-    """FiniteAbelianGroup Z^ncols / <rows>, read off the Smith normal form."""
-    return FiniteAbelianGroup(
-        tuple(d for d in smith_normal_form(rows, ncols) if d > 1))
+def _invariant_group(rows, exponent_factors):
+    """FiniteAbelianGroup Z^k / <rows>, for `rows` a k x k upper
+    triangular matrix with a positive diagonal whose lattice contains
+    e Z^k, `exponent_factors` the factorization of e.
+
+    Prime by prime: for l^v || e, the l-part is Z^k / <rows> over the
+    local ring Z/q, q = l^min(v, s) with l^s || det, the order's l-part
+    (`_primary_orders`), and the invariant factors multiply the l-parts'
+    sorted orders, largest with largest (Cohen, GTM 138, section 2.4).
+    """
+    det = prod(map(operator.getitem, rows, itertools.count()))
+    parts = []
+    for l, v in exponent_factors:
+        s = 0
+        while not det % l:
+            det //= l
+            s += 1
+        if s:   # of exponent l, the l-part is (Z/l)^s
+            parts.append([l] * s if min(v, s) == 1 else sorted(
+                _primary_orders(rows, l, l ** min(v, s))))
+    width = max(map(len, parts), default=0)
+    return FiniteAbelianGroup(tuple(map(prod, zip(*(
+        [1] * (width - len(p)) + p for p in parts)))))
+
+
+def _primary_orders(rows, l, q):
+    """Orders l^a > 1 of the cyclic factors of Z^k / <rows> over Z/q,
+    q = l^v, `rows` upper triangular: its Smith normal form over Z/q.
+
+    First each row whose diagonal entry is a unit clears its column in the
+    rows above and is dropped with its column, which keeps the rest upper
+    triangular; if that rest is diagonal, its entries give the orders.
+    Else an entry of least l-valuation a, l^a the gcd of the block with
+    q, divides the whole block, so one elimination pass by it clears its
+    column; its row, which column operations would clear, is dropped;
+    each column left with no pivot is one Z/q.
+    """
+    m, cols = [], []
+    for i, r in enumerate(rows):
+        if not r[i] % l:
+            m.append([x % q for x in r])
+            cols.append(i)
+        elif m:
+            inv = pow(r[i], -1, q)
+            for above in m:
+                c = above[i] * inv % q
+                if c:
+                    above[:] = [(x - c * y) % q for x, y in zip(above, r)]
+    m = [[r[j] for j in cols] for r in m]
+    if not any(x for i, r in enumerate(m) for x in r[i + 1:]):
+        return [gcd(r[i], q) for i, r in enumerate(m)]
+    ncols = len(cols)
+    m = [r for r in m if any(r)]
+    out = []
+    while m:
+        g = gcd(q, *itertools.chain.from_iterable(m))
+        for i, r in enumerate(m):
+            j = next((j for j, x in enumerate(r) if x % (g * l)), None)
+            if j is not None:
+                break
+        piv = m.pop(i)
+        inv = pow(piv[j] // g, -1, q)
+        if g > 1:
+            out.append(g)
+        rest = []
+        for r in m:
+            c = r[j] // g * inv % q
+            if c:
+                r = [(x - c * y) % q for x, y in zip(r, piv)]
+            del r[j]
+            if any(r):
+                rest.append(r)
+        m = rest
+        ncols -= 1
+    return out + [q] * ncols
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +326,11 @@ class FiniteAbelianGroup:
     @property
     def exponent(self):
         return self.invariant_factors[-1] if self.invariant_factors else 1
+
+    @cached_property
+    def exponent_factors(self):
+        """The factorization of the exponent, as (prime, power) pairs."""
+        return factorize(self.exponent)
 
     @property
     def identity(self):
@@ -294,7 +381,7 @@ TRIVIAL_GROUP = FiniteAbelianGroup(())
 def group_from_cyclic_orders(orders):
     """Invariant-factor group isomorphic to the product of C_orders[i]."""
     orders = [o for o in orders if o > 1]
-    return _invariant_group(_diagonal(orders), len(orders))
+    return _invariant_group(_diagonal(orders), factorize(lcm(*orders)))
 
 
 @dataclass(frozen=True)
@@ -351,7 +438,8 @@ class Subgroup:
             raise ValueError("subgroup lattice must be full rank")
         # relation matrix C with C * rows = diag(d): the subgroup is Z^k / C
         return _invariant_group(
-            _solve_upper(self.lattice, self.ambient.invariant_factors, k), k)
+            _solve_upper(self.lattice, self.ambient.invariant_factors, k),
+            self.ambient.exponent_factors)
 
     def __str__(self):
         return f"subgroup of order {self.order} in {self.ambient}"
@@ -407,12 +495,17 @@ def _check_same_ambient(a, b):
         raise AmbientMismatchError("subgroups live in different ambient groups")
 
 
-def product(a, b):
-    """Join (internal product) of two subgroups of the same ambient group."""
-    _check_same_ambient(a, b)
-    g = a.ambient
-    return _from_lattice(
-        g, hnf(a.lattice + b.lattice, g.rank, g.invariant_factors))
+def product(first, *rest):
+    """Join (internal product) of subgroups of the same ambient group: one
+    HNF of all their lattice rows, none for a single subgroup."""
+    if not rest:
+        return first
+    for b in rest:
+        _check_same_ambient(first, b)
+    g = first.ambient
+    return _from_lattice(g, hnf(
+        [r for sub in (first, *rest) for r in sub.lattice], g.rank,
+        g.invariant_factors))
 
 
 def intersect(a, b):
@@ -460,8 +553,8 @@ def is_cyclic(sub):
 
 
 def quotient_structure(sub):
-    """Invariant factors of ambient/sub via the Smith normal form."""
-    return _invariant_group(list(sub.lattice), sub.ambient.rank)
+    """Invariant factors of ambient/sub, prime by prime."""
+    return _invariant_group(sub.lattice, sub.ambient.exponent_factors)
 
 
 class GeneratorPresentation:

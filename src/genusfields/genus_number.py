@@ -17,7 +17,7 @@ from functools import reduce
 from math import gcd, lcm, prod
 
 from . import abelian, characters
-from .errors import AmbientMismatchError, PrecisionError, SchemaError
+from .errors import PrecisionError, SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ def extended_genus_characters(x):
     p-components X_p of X inside the full dual."""
     split = characters.component_split(x)
     return characters.CharacterGroup(x.ambient,
-                                     reduce(abelian.product, split.values()))
+                                     abelian.product(*split.values()))
 
 
 def plus_part(x):
@@ -122,7 +122,7 @@ def lp_degree_from_local(units, key, primes_above):
         if h.ambient != units.group:
             raise SchemaError(f"norm subgroup at {key} lives in {h.ambient}, "
                               f"not in the local units {units.group}")
-    norm = reduce(abelian.product, subs)
+    norm = abelian.product(*subs)
     if units.group.rank <= 1 \
             and norm.index != reduce(gcd, (h.index for h in subs)):
         raise RuntimeError(

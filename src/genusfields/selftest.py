@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import abelian, characters, fqpoly, genus_function, genus_number, oracle
-from .errors import PrecisionError, SchemaError
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the finite abelian group lattice calculus."""
 
 import contextlib
+import functools
 import itertools
 import random
 from math import gcd, lcm, prod
@@ -443,6 +444,101 @@ class TestModularHNF:
         m = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n,
                                         max_size=n), max_size=5))
         assert ab.smith_normal_form(m, n) == ab.snf_with_transform(m, n)[0]
+
+
+def snf_factors(rows, ncols):
+    """The reference invariant factors > 1: the Euclid SNF over Z."""
+    return tuple(d for d in ab.smith_normal_form(rows, ncols) if d > 1)
+
+
+def check_against_euclid_snf(g, sub):
+    k = g.rank
+    assert ab.quotient_structure(sub).invariant_factors == snf_factors(
+        list(sub.lattice), k)
+    assert sub.structure().invariant_factors == snf_factors(
+        ab._solve_upper(sub.lattice, g.invariant_factors, k), k)
+
+
+# the six groups of the lattice-law suite, the four higher-rank lattice
+# ambients of the benchmark, rank 0, and prime exponents above 64
+PRIME_BY_PRIME_AMBIENTS = [
+    (2, 2, 4), (4, 8), (2, 4, 8), (2, 2, 2, 4), (8, 8), (2, 6, 12),
+    (2, 4, 8, 16), (2, 2, 2, 2, 4), (6, 12, 24), (3, 9, 27), (),
+    (67, 67), (2, 202), (5, 5 * 67 ** 2)]
+
+
+class TestPrimeByPrimeQuotients:
+    """Quotient structures over each Z/l^v against the Euclid SNF."""
+
+    @pytest.mark.parametrize("facs", PRIME_BY_PRIME_AMBIENTS,
+                             ids=lambda f: "x".join(map(str, f)) or "rank0")
+    def test_drawn_subgroups(self, facs):
+        g = ab.FiniteAbelianGroup(facs)
+        rng = random.Random(str(facs))
+        # entries scaled by a random divisor of their factor, so that the
+        # subgroups reach every index
+        subs = {ab.trivial_subgroup(g), ab.full_subgroup(g)}
+        subs |= {ab.subgroup_from_generators(g, [
+            tuple(rng.randrange(d) * rng.choice(ab.divisors(d)) % d
+                  for d in facs) for _ in range(rng.randint(1, 4))])
+                 for _ in range(300)}
+        for sub in subs:
+            check_against_euclid_snf(g, sub)
+
+    @given(group_and_elements(max_rank=5, max_order=4096, count=4))
+    @settings(max_examples=150, deadline=None)
+    def test_hypothesis_draws(self, data):
+        g, vecs = data
+        for sub in (ab.subgroup_from_generators(g, vecs[:n])
+                    for n in range(5)):
+            check_against_euclid_snf(g, sub)
+
+    @given(st.lists(st.one_of(st.integers(0, 200),
+                              st.sampled_from([64, 81, 125, 67 * 67])),
+                    max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_group_from_cyclic_orders(self, orders):
+        kept = [o for o in orders if o > 1]
+        assert ab.group_from_cyclic_orders(orders).invariant_factors == \
+            snf_factors(ab._diagonal(kept), len(kept))
+
+    def test_no_euclid_smith(self, monkeypatch):
+        # finite quotients take no Euclid SNF
+        monkeypatch.setattr(ab, "_smith", None)
+        g = ab.FiniteAbelianGroup((2, 6, 12))
+        sub = ab.subgroup_from_generators(g, [(0, 1, 0), (0, 0, 2)])
+        assert ab.quotient_structure(sub).invariant_factors == (2, 2)
+        assert sub.structure().invariant_factors == (6, 6)
+        assert ab.group_from_cyclic_orders([4, 6, 9]).invariant_factors == \
+            (6, 36)
+
+
+class TestNaryProduct:
+    @given(group_and_elements(max_rank=5, max_order=4096, count=8),
+           st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_pairwise_reduce(self, data, n):
+        g, vecs = data
+        subs = [ab.subgroup_from_generators(g, vecs[2 * i:2 * i + 2])
+                for i in range(n)]
+        with recorded_hnf_calls() as calls:
+            joined = ab.product(*subs)
+        assert len(calls) == 1
+        assert joined == functools.reduce(ab.product, subs)
+
+    def test_single_subgroup_takes_no_hnf(self):
+        g = ab.FiniteAbelianGroup((2, 4))
+        a = ab.subgroup_from_generators(g, [(1, 2)])
+        with recorded_hnf_calls() as calls:
+            assert ab.product(a) is a
+        assert calls == []
+
+    def test_ambient_mismatch_in_any_place(self):
+        a = ab.trivial_subgroup(cyclic(4))
+        b = ab.trivial_subgroup(cyclic(6))
+        for subs in ((a, a, b), (a, b, a), (b, a, a)):
+            with pytest.raises(AmbientMismatchError):
+                ab.product(*subs)
 
 
 class TestPairingKernel:

@@ -14,8 +14,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from genusfields import selftest
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")

@@ -500,6 +500,44 @@ def test_number_local_report_forms_the_norm_product_once(
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, name, hnfs", [
+    ("number", "multi_prime", 1), ("function", "cyclo_p", 0)])
+def test_report_forms_the_extended_group_in_one_product(
+        monkeypatch, kind, name, hnfs):
+    # X_2 X_3 X_5 of multi_prime is one HNF of the three lattices; the one
+    # component of cyclo_p is the extended group as it is
+    depth, per_call = {"extended": 0, "product": 0}, []
+
+    def nest(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def wrapper(*args):
+            if key == "extended":
+                per_call.append(0)
+            depth[key] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[key] -= 1
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    nest(genus_number, "extended_genus_characters", "extended")
+    nest(abelian, "product", "product")
+    hnf = abelian.hnf
+
+    def counted(*args):
+        if depth["extended"] and depth["product"]:
+            per_call[-1] += 1
+        return hnf(*args)
+
+    monkeypatch.setattr(abelian, "hnf", counted)
+    for flag in ([], ["--json"]):
+        assert run_cli([kind, "--spec", os.path.join(SCRIPTS, name + ".toml")]
+                       + flag)[0] == 0
+    assert per_call and set(per_call) == {hnfs}
+
+
 def test_function_local_entry_without_norm_data_counts_as_full(tmp_path):
     head = 'kind = "function-local"\nq = 3\nn_max = 4\n'
     first = "[[primes]]\ne = 4\nt = 3\nnorm_generators = {}\n"

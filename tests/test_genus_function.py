@@ -5,7 +5,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from genusfields import abelian, characters as ch, fqpoly, genus_function as gf
 from genusfields import genus_number as gn
