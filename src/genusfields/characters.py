@@ -15,9 +15,9 @@ conductors are read one prime at a time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
+from functools import cached_property, lru_cache
 
 from . import abelian, fqpoly
 from .errors import AmbientMismatchError, SchemaError
@@ -72,6 +72,13 @@ class _UnitAmbient:
     def infinity_logs(self):
         """dlog vectors of `units_at_infinity`."""
         return tuple(map(self.dlog, self.units_at_infinity()))
+
+    @cached_property
+    def infinity(self):
+        """The units at infinity, once per ambient: `infinity_logs` and
+        the order of the group they span."""
+        vecs = self.infinity_logs()
+        return vecs, abelian.subgroup_from_generators(self.group, vecs).order
 
     def project(self, component, u):
         return u % component.modulus
@@ -478,21 +485,46 @@ def component_decompose(x):
     return out
 
 
-@lru_cache(maxsize=64)
-def component_split(x):
-    """The p-components X_p seen inside the full dual, one per prime key of
-    the modulus: X_p is generated by the lattice rows of X times R_p
+class ComponentSplit(Mapping):
+    """The p-components X_p of one X inside the full dual, by prime key of
+    the modulus: X_p is generated by X's lattice rows times R_p
     (`component_matrix`), the same group as inflating {chi_p : chi in X}.
-    Cached per X, so one report splits X once; the mapping is read-only."""
-    amb = x.ambient
-    d = amb.group.invariant_factors
-    out = {}
-    for component in amb.components():
-        r = amb.component_matrix(component)
-        rows = [[sum(b * r[i][j] for i, b in enumerate(row)) % dj
+    The rows X R_p are formed once.  Each X_p is one HNF of its rows, taken
+    when first read; `product`, the product of the X_p, is one HNF of all
+    the rows stacked, with no HNF per component (X_p itself for one p)."""
+
+    def __init__(self, x):
+        amb, self._rows, self._parts = x.ambient, {}, {}
+        self.group, d = amb.group, amb.group.invariant_factors
+        for component in amb.components():
+            r = amb.component_matrix(component)
+            self._rows[component.key] = [
+                [sum(b * r[i][j] for i, b in enumerate(row)) % dj
                  for j, dj in enumerate(d)] for row in x.dual.lattice]
-        out[component.key] = abelian.subgroup_from_generators(amb.group, rows)
-    return MappingProxyType(out)
+
+    def __getitem__(self, key):
+        if key not in self._parts:
+            self._parts[key] = abelian.subgroup_from_generators(
+                self.group, self._rows[key])
+        return self._parts[key]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    @cached_property
+    def product(self):
+        if len(self) == 1:
+            return self[next(iter(self))]
+        return abelian.subgroup_from_generators(
+            self.group, [r for rows in self._rows.values() for r in rows])
+
+
+# one split per X: a report or a genus computation forms the rows X R_p
+# and their product once
+component_split = lru_cache(maxsize=64)(ComponentSplit)
 
 
 def component_order(x, component):
@@ -543,7 +575,7 @@ def conductor_exponents(x):
 
 def conductor_from_exponents(amb, exponents):
     """The modulus prod key^f for a map {key: f}."""
-    out = amb.exp(amb.group.identity)  # the unit 1
+    out = amb.units.one
     for key, f in exponents.items():
         out = out * key ** f
     return out

@@ -274,11 +274,14 @@ class Kernel:
                 for i in range(degree) for j in range(self.s)]
 
     def span(self, basis):
-        """Every F_p-combination of `basis`, unreduced, the coefficient of
-        the first vector varying fastest: code order for `monomials`."""
+        """Every F_p-combination of `basis`, the coefficient of the first
+        vector varying fastest: code order for `monomials`.  For p = 2 the
+        sums are XORs, so combinations of reduced vectors come out reduced;
+        for odd p they are unreduced."""
         out = [0]
         for e in basis:
-            out = [x + d * e for d in range(self.p) for x in out]
+            out = out + [x ^ e for x in out] if self.p == 2 else [
+                x + d * e for d in range(self.p) for x in out]
         return out
 
 
@@ -813,8 +816,10 @@ def unit_mask(degree, primes):
     modulo a modulus with the prime factors `primes`: not a multiple P t
     of a prime P.  The multiples span the products P x^j T^i."""
     k = primes[0].field.kernel
-    multiples = {k.reduce(x) for p_ in primes for x in k.span(
-        [k.mul(packed(p_), e) for e in k.monomials(degree - p_.degree)])}
+    multiples = itertools.chain.from_iterable(k.span(
+        [k.mul(packed(p_), e) for e in k.monomials(degree - p_.degree)])
+        for p_ in primes)   # reduced for p = 2 (`Kernel.span`)
+    multiples = set(multiples if k.p == 2 else map(k.reduce, multiples))
     return [x not in multiples for x in k.span(k.monomials(degree))]
 
 

@@ -203,12 +203,13 @@ def idele_quotient_check(factored_n, rng_seed=0):
         units.append(list(itertools.compress(k.span(basis), mask)))
         images.append(list(itertools.compress(k.span(
             [k.mod(k.mul(idem, e), n_k) for e in basis]), mask)))
-    partial = images[0]
-    for block in images[1:]:
-        partial = [x + y for x in partial for y in block]
+    partial, two = images[0], k.p == 2
+    for block in images[1:]:    # for p = 2, XOR keeps every slot reduced
+        partial = [x ^ y for x in partial for y in block] if two else [
+            x + y for x in partial for y in block]
     expected = factored_n.unit_order()
-    if len(partial) != expected \
-            or len({k.reduce(x) for x in partial}) != expected:
+    if len(partial) != expected or len(
+            set(partial) if two else set(map(k.reduce, partial))) != expected:
         return False
 
     # residue recovery and multiplicativity on sampled tuples, by products
@@ -280,12 +281,9 @@ def constants_kernel_part(x):
 
 def genus_characters_ff(x):
     """X joined with the part of the extended group trivial on constants;
-    the index of the result in the extended group divides q - 1."""
-    extended = extended_genus_characters_ff(x)
-    out = characters.join(x, constants_kernel_part(extended))
-    if (x.ambient.field.q - 1) % (extended.order // out.order):
-        raise RuntimeError("genus index must divide q - 1")
-    return out
+    its index in the extended group divides [extended : plus part], which
+    `genus_number.plus_part` checks divides q - 1."""
+    return genus_number.genus_characters(_polynomial_modulus(x))
 
 
 def component_fields(x):

@@ -2,10 +2,11 @@
 
 An abelian field K is its character group X.  The extended genus field is
 cut out by the product of the p-components of X (P-components over
-F_q(T)).  The genus field adds to X the part of that product trivial on
-the units at the infinite prime: -1 over Q, the constants F_q* over
-F_q(T), whose fixed field is Hayes' real subfield.  One pipeline serves
-both ambient kinds.  For non-abelian K the same degree formulas run off
+F_q(T)): one HNF of X's lattice rows times every R_p, formed once per X.
+The genus field adds to X the part of that product trivial on the units
+at the infinite prime: -1 over Q, the constants F_q* over F_q(T), whose
+fixed field is Hayes' real subfield.  One pipeline serves both ambient
+kinds.  For non-abelian K the same degree formulas run off
 user-supplied local norm subgroups at a finite level, on one path for
 every place: the units modulo p^level, P^level, or T^n_max at infinity.
 """
@@ -25,10 +26,10 @@ from .errors import PrecisionError, SchemaError
 
 def extended_genus_characters(x):
     """Character group of the extended genus field: the product of the
-    p-components X_p of X inside the full dual."""
-    split = characters.component_split(x)
+    p-components X_p of X inside the full dual, one HNF of X's lattice
+    rows times every R_p, formed once per X (`characters.ComponentSplit`)."""
     return characters.CharacterGroup(x.ambient,
-                                     abelian.product(*split.values()))
+                                     characters.component_split(x).product)
 
 
 def plus_part(x):
@@ -39,10 +40,9 @@ def plus_part(x):
     generate: 1 or 2 over Q, a divisor of q - 1 over F_q(T).
     """
     amb = x.ambient
-    vecs = amb.infinity_logs()
+    vecs, units_order = amb.infinity
     out = characters.CharacterGroup(amb, abelian.pairing_kernel(x.dual, vecs))
-    if abelian.subgroup_from_generators(amb.group, vecs).order \
-            % (x.order // out.order):
+    if units_order % (x.order // out.order):
         raise RuntimeError("plus part has impossible index")
     return out
 
@@ -50,13 +50,17 @@ def plus_part(x):
 def genus_characters(x):
     """Character group of the genus field: X joined with the plus part of
     the extended genus group."""
-    return characters.join(x, plus_part(extended_genus_characters(x)))
+    return _genus(x, extended_genus_characters(x))
+
+
+def _genus(x, extended):
+    """The genus group from X and its extended genus group `extended`."""
+    return characters.join(x, plus_part(extended))
 
 
 def genus_gap(x):
     """[geK : gK]: 1 or 2 over Q, a divisor of q - 1 over F_q(T)."""
-    extended = extended_genus_characters(x)
-    return extended.order // characters.join(x, plus_part(extended)).order
+    return extended_genus_characters(x).order // genus_characters(x).order
 
 
 def inflate_group(x, target_ambient):
@@ -245,7 +249,7 @@ def build_report(x):
     or F_q(T); `primes` has one row per prime of the modulus."""
     amb = x.ambient
     extended = extended_genus_characters(x)
-    genus = characters.join(x, plus_part(extended))
+    genus = _genus(x, extended)
     if extended.order % x.order or genus.order % x.order:
         raise RuntimeError("genus groups must contain X")
     ram = characters.ramification_exponents(x)

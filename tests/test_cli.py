@@ -500,42 +500,72 @@ def test_number_local_report_forms_the_norm_product_once(
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind, name, hnfs", [
+def _hnfs_under(monkeypatch, attr):
+    """(argument, row count of every HNF taken under the call) for each
+    call of `genus_number.<attr>` from now on."""
+    calls, inside = [], []
+    inner, hnf = getattr(genus_number, attr), abelian.hnf
+
+    def wrapper(x):
+        calls.append((x, []))
+        inside.append(calls[-1][1])
+        try:
+            return inner(x)
+        finally:
+            inside.pop()
+
+    def counted(rows, *args):
+        if inside:
+            inside[-1].append(len(rows))
+        return hnf(rows, *args)
+
+    monkeypatch.setattr(genus_number, attr, wrapper)
+    monkeypatch.setattr(abelian, "hnf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, name, stacked", [
     ("number", "multi_prime", 1), ("function", "cyclo_p", 0)])
 def test_report_forms_the_extended_group_in_one_product(
-        monkeypatch, kind, name, hnfs):
-    # X_2 X_3 X_5 of multi_prime is one HNF of the three lattices; the one
-    # component of cyclo_p is the extended group as it is
-    depth, per_call = {"extended": 0, "product": 0}, []
-
-    def nest(owner, attr, key):
-        real = getattr(owner, attr)
-
-        def wrapper(*args):
-            if key == "extended":
-                per_call.append(0)
-            depth[key] += 1
-            try:
-                return real(*args)
-            finally:
-                depth[key] -= 1
-
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    nest(genus_number, "extended_genus_characters", "extended")
-    nest(abelian, "product", "product")
-    hnf = abelian.hnf
-
-    def counted(*args):
-        if depth["extended"] and depth["product"]:
-            per_call[-1] += 1
-        return hnf(*args)
-
-    monkeypatch.setattr(abelian, "hnf", counted)
+        monkeypatch, kind, name, stacked):
+    # X_2 X_3 X_5 of multi_prime is one HNF of the rows X R_p of all three
+    # primes stacked, and no X_p takes an HNF of its own under it; the one
+    # component of cyclo_p is the extended group, one HNF of its rows
+    per_call = _hnfs_under(monkeypatch, "extended_genus_characters")
     for flag in ([], ["--json"]):
+        characters.component_split.cache_clear()
         assert run_cli([kind, "--spec", os.path.join(SCRIPTS, name + ".toml")]
                        + flag)[0] == 0
-    assert per_call and set(per_call) == {hnfs}
+    assert len(per_call) == 2
+    for x, rows in per_call:
+        primes = len(x.ambient.components())
+        assert rows == [x.ambient.group.rank * primes]
+        assert (primes > 1) == stacked
+
+
+@pytest.mark.parametrize("command, name", ABELIAN_SCRIPTS)
+def test_report_hnfs_and_row_products(monkeypatch, command, name):
+    # on a fresh ambient and X, a report forms the rows X R_p once per
+    # prime and takes one HNF per X_p, one for their product when there
+    # are several, and three for the genus group: the span of the units at
+    # infinity, the plus part's pairing kernel and the join with X
+    matrices = []
+    for cls in (characters.NumericAmbient, characters.FunctionFieldAmbient):
+        def counted_matrix(self, component, matrix=cls.component_matrix):
+            matrices.append(component)
+            return matrix(self, component)
+
+        monkeypatch.setattr(cls, "component_matrix", counted_matrix)
+    reports = _hnfs_under(monkeypatch, "build_report")
+    for cache in (characters.numeric_ambient, characters._ff_ambient_cached,
+                  characters.component_split):
+        cache.cache_clear()
+    assert run_cli([command, "--spec",
+                    os.path.join(SCRIPTS, name + ".toml"), "--json"])[0] == 0
+    (x, rows), = reports
+    primes = len(x.ambient.components())
+    assert len(matrices) == primes
+    assert len(rows) == primes + (primes > 1) + 3
 
 
 def test_function_local_entry_without_norm_data_counts_as_full(tmp_path):

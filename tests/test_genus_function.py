@@ -97,7 +97,9 @@ def test_idele_check_spec_examples():
         fqpoly.factor_modulus(fqpoly.poly(F3, (0, 1, 1))))
 
 
-@pytest.mark.parametrize("fld,bound", [(F2, 2 ** 6), (F3, 3 ** 3)])
+# q = 4 is outside selftest criterion 8, which sweeps q in {2, 3}
+@pytest.mark.parametrize("fld,bound", [(F2, 2 ** 6), (F3, 3 ** 3),
+                                       (F4, 4 ** 4)])
 def test_idele_check_small_sweep(fld, bound):
     for fm in gf.all_factored_moduli(fld, bound):
         assert gf.idele_quotient_check(fm)

@@ -143,6 +143,54 @@ def test_gap_is_one_or_two(n, data):
 
 
 # ---------------------------------------------------------------------------
+# The extended group as one lattice
+
+def _every_subgroup():
+    """Every X in (Z/n)*, 2 <= n <= 100, and in (F_q[T]/M)* for
+    q in {2, 3, 4} and q^deg M <= 32."""
+    ambients = [ch.numeric_ambient(n) for n in range(2, 101)]
+    for fld in (fqpoly.fq_field(2), fqpoly.fq_field(3), fqpoly.fq_field(2, 2)):
+        ambients += map(ch.ff_ambient, gf.all_factored_moduli(fld, 32))
+    for amb in ambients:
+        for s in oracle.enumerate_subfields(amb).subgroups:
+            yield ch.CharacterGroup(amb, abelian.subgroup_from_generators(
+                amb.group, sorted(s)))
+
+
+def test_stacked_extended_group_is_the_product_of_the_split():
+    count = 0
+    for x in _every_subgroup():
+        extended = gn.extended_genus_characters(x)
+        assert extended.dual \
+            == abelian.product(*ch.component_split(x).values())
+        genus = ch.join(x, gn.plus_part(extended))
+        assert gn.genus_characters(x) == genus
+        assert gn.genus_gap(x) == extended.order // genus.order
+        count += 1
+    assert count == 1224 + 648
+
+
+def test_extended_group_is_formed_once_per_x(monkeypatch):
+    # (Z/120)* = C2 x C2 x C2 x C4 has three primes: the extended group is
+    # one HNF of the 3 x 4 rows X R_p, and the genus group and the gap
+    # reuse it, each taking only the plus part's pairing kernel and the
+    # join with X
+    amb = ch.numeric_ambient(120)
+    amb.infinity    # the span of -1 is formed once per ambient
+    x = ch.character_group(amb, [ch.Character(amb, (1, 1, 0, 1)),
+                                 ch.Character(amb, (0, 1, 1, 3))])
+    ch.component_split.cache_clear()
+    rows, hnf = [], abelian.hnf
+    monkeypatch.setattr(abelian, "hnf", lambda r, *a: (
+        rows.append(len(r)), hnf(r, *a))[1])
+    extended = gn.extended_genus_characters(x)
+    assert rows == [12]
+    genus = gn.genus_characters(x)
+    assert gn.genus_gap(x) == extended.order // genus.order
+    assert len(rows) == 1 + 2 + 2 and rows.count(12) == 1
+
+
+# ---------------------------------------------------------------------------
 # Composition
 
 def test_composition_fixture_3_5_7_11():
