@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from functools import lru_cache, reduce
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from . import (abelian, characters, fqpoly, genus_function, genus_number,
@@ -452,9 +453,40 @@ def _human_lines(payload):
     return lines
 
 
+def _json_text(value, indent="\n"):
+    """`json.dumps(value, sort_keys=True, indent=2)`, for values built of
+    dicts with str keys, lists, str, int, bool and None; anything else is
+    a TypeError.  Each container is one `str.join`, and no encoder state
+    outlives the call: the stdlib's indenting encoder runs in pure Python,
+    and each of its calls leaves a cycle of closures for the collector."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + indent + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(v, inner)
+             for key, v in sorted(value.items())]) + indent + "}")
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def _emit(payload, as_json, stream):
     if as_json:
-        stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        stream.write(_json_text(payload) + "\n")
     else:
         stream.write("\n".join(_human_lines(payload)) + "\n")
 
@@ -462,26 +494,29 @@ def _emit(payload, as_json, stream):
 # ---------------------------------------------------------------------------
 # Entry point
 
+COMMANDS = {
+    "number": "genus report for a number-field descriptor",
+    "function": "genus report for a function-field descriptor",
+    "oracle": "exhaustive-search cross-check of a descriptor",
+    "selftest": "run the nine verification suites",
+}
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="genusctl",
         description="Genus fields of abelian extensions of Q and F_q(T).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-            ("number", "genus report for a number-field descriptor"),
-            ("function", "genus report for a function-field descriptor"),
-            ("oracle", "exhaustive-search cross-check of a descriptor"),
-            ("selftest", "run the nine verification suites")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--spec", metavar="PATH",
-                       help="field descriptor document")
-        p.add_argument("--level", type=int, metavar="M",
-                       help="working level; must match the document")
-        p.add_argument("--bound", type=int, metavar="B",
-                       help="enumeration bound (overrides GENUSCTL_BOUND)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+    parser.add_argument("command", choices=COMMANDS, help="; ".join(
+        f"{name}: {text}" for name, text in COMMANDS.items()))
+    parser.add_argument("--spec", metavar="PATH",
+                        help="field descriptor document")
+    parser.add_argument("--level", type=int, metavar="M",
+                        help="working level; must match the document")
+    parser.add_argument("--bound", type=int, metavar="B",
+                        help="enumeration bound (overrides GENUSCTL_BOUND)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
     return parser
 
 
@@ -512,7 +547,7 @@ def _run_selftest(args, bound, stream):
                 {"number": r.number, "name": r.name, "ok": r.ok,
                  "detail": r.detail} for r in results],
         }
-        stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        stream.write(_json_text(payload) + "\n")
     else:
         for r in results:
             stream.write(r.line() + "\n")

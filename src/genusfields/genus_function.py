@@ -208,8 +208,8 @@ def idele_quotient_check(factored_n, rng_seed=0):
         partial = [x ^ y for x in partial for y in block] if two else [
             x + y for x in partial for y in block]
     expected = factored_n.unit_order()
-    if len(partial) != expected or len(
-            set(partial) if two else set(map(k.reduce, partial))) != expected:
+    distinct = set(partial) if two else _reduced_slices(k, n, partial)
+    if len(partial) != expected or len(distinct) != expected:
         return False
 
     # residue recovery and multiplicativity on sampled tuples, by products
@@ -230,6 +230,17 @@ def idele_quotient_check(factored_n, rng_seed=0):
         if k.mod(k.mul(combine(x), combine(y)), n_k) != direct:
             return False
     return True
+
+
+def _reduced_slices(k, n, values):
+    """The set of `k.reduce(x)` over `values`, unreduced kernel integers
+    of polynomials of degree < deg n, as byte strings: the values are laid
+    side by side in slices of whole slots and reduced by one call."""
+    width = n.degree * k.group // 8
+    joined = k.reduce(int.from_bytes(b"".join(
+        [x.to_bytes(width, "little") for x in values]), "little"))
+    flat = joined.to_bytes(width * len(values), "little")
+    return {flat[i:i + width] for i in range(0, len(flat), width)}
 
 
 def all_factored_moduli(fld, max_size):

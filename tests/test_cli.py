@@ -1,6 +1,8 @@
 """The genusctl command line: parsing, reports, determinism, exit codes."""
 
 import contextlib
+import gc
+import glob
 import io
 import json
 import math
@@ -192,6 +194,74 @@ def test_json_report_round_trips():
     assert code == 0
     payload = json.loads(out)
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
+
+
+# ---------------------------------------------------------------------------
+# The indented JSON writer
+
+# strings with what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII and astral characters (written as surrogate pairs)
+JSON_STRINGS = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f a\xe9'
+                                       '\u20ac\U0001f600') | st.characters(),
+                       max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "a\"\\\x01\U0001f600": {"k": [10 ** 40, -1, True, None]},
+          "\xe9": {}})
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
+
+
+@pytest.mark.parametrize("value", [(1, 2), 1.5, {1: 2}, {"a": {3}},
+                                   [object()]])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(GOLDEN, "**", "*.json"), recursive=True)),
+    ids=lambda p: os.path.relpath(p, GOLDEN))
+def test_json_writer_reproduces_the_goldens(path):
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert cli._json_text(json.loads(text)) + "\n" == text
+
+
+def _accepts(command, name):
+    kind = cli.load_document(os.path.join(SCRIPTS, name + ".toml"))["kind"]
+    return kind.startswith(command + "-") or (
+        command == "oracle" and kind in cli.ABELIAN_KINDS)
+
+
+ACCEPTED_REPORTS = [
+    (command, name) for name in sorted(
+        f[:-len(".toml")] for f in os.listdir(SCRIPTS) if f.endswith(".toml"))
+    for command in ("number", "function", "oracle") if _accepts(command, name)]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("command, name", ACCEPTED_REPORTS)
+def test_warm_report_leaves_no_cyclic_garbage(command, name, flags):
+    # reference cycles are freed only by the cyclic collector, whose
+    # passes scan the live heap and land on single reports
+    args = [command, "--spec", os.path.join(SCRIPTS, name + ".toml")] + flags
+    assert run_cli(args)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(args)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
