@@ -375,9 +375,6 @@ class FiniteAbelianGroup:
         return " x ".join(f"C{d}" for d in self.invariant_factors)
 
 
-TRIVIAL_GROUP = FiniteAbelianGroup(())
-
-
 def group_from_cyclic_orders(orders):
     """Invariant-factor group isomorphic to the product of C_orders[i]."""
     orders = [o for o in orders if o > 1]
@@ -431,38 +428,8 @@ class Subgroup:
                     frontier.append(y)
         return seen
 
-    def structure(self):
-        """Invariant factors of the subgroup itself."""
-        k = self.ambient.rank
-        if len(self.lattice) != k:
-            raise ValueError("subgroup lattice must be full rank")
-        # relation matrix C with C * rows = diag(d): the subgroup is Z^k / C
-        return _invariant_group(
-            _solve_upper(self.lattice, self.ambient.invariant_factors, k),
-            self.ambient.exponent_factors)
-
     def __str__(self):
         return f"subgroup of order {self.order} in {self.ambient}"
-
-
-def _solve_upper(rows, ds, k):
-    """Integer C with C * rows = diag(ds), rows upper triangular full rank."""
-    c = []
-    for i in range(k):
-        target = [ds[i] if j == i else 0 for j in range(k)]
-        coeffs = [0] * k
-        for col in range(k):
-            piv = rows[col][col]
-            if target[col] % piv:
-                raise ValueError("relation lattice is not contained in subgroup lattice")
-            q = target[col] // piv
-            coeffs[col] = q
-            if q:
-                target = [a - q * b for a, b in zip(target, rows[col])]
-        if any(target):
-            raise ValueError("failed to express relations in the lattice basis")
-        c.append(coeffs)
-    return c
 
 
 def subgroup_from_generators(ambient, gens):
@@ -546,10 +513,6 @@ def pairing_kernel(sub, vecs):
     rows = [[g.pairing(r, v) for v in vecs] + list(r) for r in sub.lattice]
     h = hnf(rows, m + g.rank, (g.exponent,) * m + g.invariant_factors)
     return _from_lattice(g, tuple(r[m:] for r in h[m:]))
-
-
-def is_cyclic(sub):
-    return sub.structure().rank <= 1
 
 
 def quotient_structure(sub):

@@ -227,10 +227,6 @@ class Character:
     def order(self):
         return self.ambient.group.element_order(self.exponents)
 
-    @property
-    def is_trivial(self):
-        return not any(self.exponents)
-
     def value_exponent(self, u):
         """chi(u) as an exponent of zeta_e, e the unit-group exponent."""
         return self.ambient.group.pairing(self.exponents,
@@ -264,18 +260,6 @@ def character_from_values(ambient, value_exponents, value_order):
                 "value is not a root of unity of the generator's order")
         b.append(num // value_order % d)
     return Character(ambient, tuple(b))
-
-
-def parity(chi):
-    """'even' when chi(-1) = 1, 'odd' otherwise.  Numeric moduli only."""
-    if chi.ambient.kind != "number":
-        raise SchemaError("parity is defined only for integer moduli")
-    minus = chi.ambient.units.minus_one_log
-    return "odd" if chi.ambient.group.pairing(chi.exponents, minus) else "even"
-
-
-def is_even(chi):
-    return parity(chi) == "even"
 
 
 def conductor(chi):
@@ -432,18 +416,6 @@ class CharacterGroup:
             raise AmbientMismatchError("character of a different modulus")
         return self.dual.contains(chi.exponents)
 
-    def kernel_elements(self):
-        """Common kernel of all members, as a set of unit residues."""
-        gens = self.generators()
-        out = []
-        for u in self.ambient.residues():
-            if all(chi.value_exponent(u) == 0 for chi in gens):
-                out.append(u)
-        return out
-
-    def structure(self):
-        return self.dual.structure()
-
 
 def character_group(ambient, chars):
     for chi in chars:
@@ -452,10 +424,6 @@ def character_group(ambient, chars):
     sub = abelian.subgroup_from_generators(
         ambient.group, [chi.exponents for chi in chars])
     return CharacterGroup(ambient, sub)
-
-
-def trivial_group(ambient):
-    return character_group(ambient, [])
 
 
 def full_dual(ambient):

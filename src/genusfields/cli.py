@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import tomllib
 from functools import lru_cache, reduce
 from json.encoder import encode_basestring_ascii
 from math import prod
@@ -26,102 +27,13 @@ from .errors import (BoundExceededError, GenusError, PrecisionError,
 
 
 # ---------------------------------------------------------------------------
-# Minimal line-oriented parser for the TOML-style document format.
-# Supports: comments, [table] and [[array-of-tables]] headers, and
-# key = value with integers, booleans, quoted strings, and (nested)
-# arrays of those.
+# Descriptor documents: TOML, checked field by field below
 
 def parse_document(text):
-    root = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise SchemaError(f"line {lineno}: malformed table header")
-            path = line[2:-2].strip()
-            parent, leaf = _descend(root, path, lineno)
-            entry = {}
-            parent.setdefault(leaf, [])
-            if not isinstance(parent[leaf], list):
-                raise SchemaError(
-                    f"line {lineno}: {path} is not an array of tables")
-            parent[leaf].append(entry)
-            current = entry
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise SchemaError(f"line {lineno}: malformed table header")
-            path = line[1:-1].strip()
-            parent, leaf = _descend(root, path, lineno)
-            entry = parent.setdefault(leaf, {})
-            if not isinstance(entry, dict):
-                raise SchemaError(f"line {lineno}: {path} is not a table")
-            current = entry
-        else:
-            if "=" not in line:
-                raise SchemaError(f"line {lineno}: expected key = value")
-            key, _, rest = line.partition("=")
-            key = key.strip()
-            if not key:
-                raise SchemaError(f"line {lineno}: empty key")
-            value, tail = _parse_value(rest.strip(), lineno)
-            if tail.strip():
-                raise SchemaError(f"line {lineno}: trailing garbage {tail!r}")
-            if key in current:
-                raise SchemaError(f"line {lineno}: duplicate key {key!r}")
-            current[key] = value
-    return root
-
-
-def _descend(root, path, lineno):
-    if not path:
-        raise SchemaError(f"line {lineno}: empty table name")
-    parts = [p.strip() for p in path.split(".")]
-    node = root
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise SchemaError(f"line {lineno}: {part} is not a table")
-    return node, parts[-1]
-
-
-def _parse_value(s, lineno):
-    if not s:
-        raise SchemaError(f"line {lineno}: missing value")
-    if s[0] == '"':
-        end = s.find('"', 1)
-        if end < 0:
-            raise SchemaError(f"line {lineno}: unterminated string")
-        return s[1:end], s[end + 1:]
-    if s[0] == "[":
-        out = []
-        rest = s[1:].lstrip()
-        while True:
-            if not rest:
-                raise SchemaError(f"line {lineno}: unterminated array")
-            if rest[0] == "]":
-                return out, rest[1:]
-            item, rest = _parse_value(rest, lineno)
-            out.append(item)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:].lstrip()
-            elif not rest.startswith("]"):
-                raise SchemaError(f"line {lineno}: expected , or ] in array")
-    for word, val in (("true", True), ("false", False)):
-        if s.startswith(word) and (len(s) == len(word)
-                                   or not s[len(word)].isalnum()):
-            return val, s[len(word):]
-    i = 0
-    if s[0] in "+-":
-        i = 1
-    while i < len(s) and s[i].isdigit():
-        i += 1
-    if i == 0 or (i == 1 and s[0] in "+-"):
-        raise SchemaError(f"line {lineno}: cannot parse value {s!r}")
-    return int(s[:i]), s[i:]
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def load_document(path):

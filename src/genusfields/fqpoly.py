@@ -370,10 +370,6 @@ class FqField:
     def elements(self):
         return range(self.q)
 
-    def frobenius_p(self, a):
-        """The p-power Frobenius a -> a^p on the field."""
-        return self.pow(a, self.p)
-
 
 @lru_cache(maxsize=32)
 def fq_field(p, s=1):
@@ -482,13 +478,6 @@ class FqPoly:
             return self
         return self.scale(self.field.inv(self.leading))
 
-    def evaluate(self, x):
-        k = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = k.add(k.mul(out, x), c)
-        return out
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -548,12 +537,6 @@ def variable(fld):
 
 def one(fld):
     return FqPoly(fld, (1,))
-
-
-def poly_gcd(a, b):
-    """Monic greatest common divisor."""
-    _same_field(a, b)
-    return from_packed(a.field, a.field.kernel.gcd(packed(a), packed(b)))
 
 
 @lru_cache(maxsize=4096)

@@ -79,17 +79,6 @@ class CarlitzOperator:
         return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, x)
                                           for x in out))
 
-    def evaluate(self, x):
-        """Value at a polynomial argument."""
-        out = fqpoly.FqPoly(self.field)
-        power = x
-        for i, a in enumerate(self.coeffs):
-            if i:
-                power = power ** self.field.q
-            if not a.is_zero:
-                out = out + a * power
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, CarlitzOperator)
                 and self.field == other.field
@@ -102,15 +91,6 @@ class CarlitzOperator:
 def _same(a, b):
     if a.field != b.field:
         raise AmbientMismatchError("operators over different fields")
-
-
-def carlitz_identity(fld):
-    return CarlitzOperator(fld, (fqpoly.one(fld),))
-
-
-def carlitz_t(fld):
-    """C_T: x -> T x + x^q."""
-    return CarlitzOperator(fld, (fqpoly.variable(fld), fqpoly.one(fld)))
 
 
 def carlitz_operator(m):

@@ -151,8 +151,3 @@ def maximal_genus_search(x):
     """Search form of the genus group: every place, the infinite one too."""
     return _maximal_search(
         x, [c.key for c in x.ambient.components()] + [INFINITY])
-
-
-def count_subgroups_cyclic(n):
-    """Number of subgroups of a cyclic group: the divisor count."""
-    return len(abelian.divisors(n))

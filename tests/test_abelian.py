@@ -38,8 +38,8 @@ class TestGroupBasics:
             ab.FiniteAbelianGroup((2 ** 64,))
 
     def test_trivial_group(self):
-        assert ab.TRIVIAL_GROUP.order == 1
-        assert ab.TRIVIAL_GROUP.rank == 0
+        assert ab.FiniteAbelianGroup(()).order == 1
+        assert ab.FiniteAbelianGroup(()).rank == 0
 
     def test_element_order(self):
         g = ab.FiniteAbelianGroup((2, 4))
@@ -50,7 +50,7 @@ class TestGroupBasics:
     def test_group_from_cyclic_orders(self):
         assert ab.group_from_cyclic_orders([2, 3]).invariant_factors == (6,)
         assert ab.group_from_cyclic_orders([2, 4]).invariant_factors == (2, 4)
-        assert ab.group_from_cyclic_orders([1, 1]) == ab.TRIVIAL_GROUP
+        assert ab.group_from_cyclic_orders([1, 1]) == ab.FiniteAbelianGroup(())
 
 
 class TestSubgroupFromGenerators:
@@ -145,20 +145,14 @@ class TestIndexStructureQuotient:
         assert ab.full_subgroup(g).index == 1
         assert ab.subgroup_from_generators(g, [(2,)]).index == 2
 
-    def test_is_cyclic(self):
-        u = ab.unit_group(16)
-        assert ab.is_cyclic(ab.trivial_subgroup(u.group))
-        klein = ab.subgroup_from_generators(u.group, [u.dlog(15), u.dlog(7)])
-        assert not ab.is_cyclic(klein)
-        assert ab.is_cyclic(ab.subgroup_from_generators(u.group, [u.dlog(3)]))
-
     def test_quotient_mod_16(self):
         u = ab.unit_group(16)
         by_minus_one = ab.subgroup_from_generators(u.group, [u.dlog(15)])
         assert ab.quotient_structure(by_minus_one).invariant_factors == (4,)
         by_nine = ab.subgroup_from_generators(u.group, [u.dlog(9)])
         assert ab.quotient_structure(by_nine).invariant_factors == (2, 2)
-        assert ab.quotient_structure(ab.full_subgroup(u.group)) == ab.TRIVIAL_GROUP
+        assert ab.quotient_structure(ab.full_subgroup(u.group)) == \
+            ab.FiniteAbelianGroup(())
 
     def test_structure_orders(self):
         g = ab.FiniteAbelianGroup((2, 4, 4))
@@ -166,7 +160,6 @@ class TestIndexStructureQuotient:
         els = list(g.elements())
         for _ in range(25):
             h = ab.subgroup_from_generators(g, rng.sample(els, 2))
-            assert h.structure().order == h.order
             assert ab.quotient_structure(h).order == h.index
 
 
@@ -253,7 +246,6 @@ class TestLatticeLaws:
         g, vecs = data
         a = ab.subgroup_from_generators(g, vecs)
         assert a.order * a.index == g.order
-        assert a.structure().order == a.order
         assert ab.quotient_structure(a).order == a.index
 
 
@@ -390,7 +382,7 @@ class TestModularHNF:
         assert ab.hnf(rows, k, moduli) == euclid_hnf(stacked(rows, moduli), k)
 
     @pytest.mark.parametrize("site", sorted(subgroup_operations(
-        ab.TRIVIAL_GROUP, [()] * 3)))
+        ab.FiniteAbelianGroup(()), [()] * 3)))
     @given(group_and_elements(max_rank=6, max_order=4096, count=4))
     @settings(max_examples=60, deadline=None)
     def test_call_sites(self, site, data):
@@ -452,11 +444,8 @@ def snf_factors(rows, ncols):
 
 
 def check_against_euclid_snf(g, sub):
-    k = g.rank
     assert ab.quotient_structure(sub).invariant_factors == snf_factors(
-        list(sub.lattice), k)
-    assert sub.structure().invariant_factors == snf_factors(
-        ab._solve_upper(sub.lattice, g.invariant_factors, k), k)
+        list(sub.lattice), g.rank)
 
 
 # the six groups of the lattice-law suite, the four higher-rank lattice
@@ -508,7 +497,6 @@ class TestPrimeByPrimeQuotients:
         g = ab.FiniteAbelianGroup((2, 6, 12))
         sub = ab.subgroup_from_generators(g, [(0, 1, 0), (0, 0, 2)])
         assert ab.quotient_structure(sub).invariant_factors == (2, 2)
-        assert sub.structure().invariant_factors == (6, 6)
         assert ab.group_from_cyclic_orders([4, 6, 9]).invariant_factors == \
             (6, 36)
 
@@ -570,7 +558,7 @@ class TestPairingKernel:
         assert ab.pairing_kernel(full, h.lattice).order == h.index
         assert ab.pairing_kernel(full, []) == full
         assert ab.pairing_kernel(full, [g.identity]) == full
-        triv = ab.full_subgroup(ab.TRIVIAL_GROUP)
+        triv = ab.full_subgroup(ab.FiniteAbelianGroup(()))
         assert ab.pairing_kernel(triv, [()]) == triv
 
 
@@ -612,7 +600,7 @@ class TestUnitGroups:
         assert ab.unit_group(16).group.invariant_factors == (2, 4)
         assert ab.unit_group(5).group.invariant_factors == (4,)
         assert ab.unit_group(20).group.invariant_factors == (2, 4)
-        assert ab.unit_group(2).group == ab.TRIVIAL_GROUP
+        assert ab.unit_group(2).group == ab.FiniteAbelianGroup(())
         assert ab.unit_group(8).group.invariant_factors == (2, 2)
 
     def test_two_power_structure(self):

@@ -321,6 +321,27 @@ def test_booleans_in_integer_arrays_are_refused(tmp_path, command, text):
     assert run_cli([command, "--spec", str(doc)]) == (2, "")
 
 
+@pytest.mark.parametrize("text, good, bad", [
+    ('kind = "number-quadratic"\ndiscriminant = {}\n', "-20", "-20.0"),
+    ('kind = "number-abelian"\nmodulus = {}\n', "20", "{value = 20}"),
+    ('kind = "number-abelian"\nmodulus = {}\n', "20", "1979-05-27"),
+    ('kind = "number-abelian"\nmodulus = 20\ncharacters = [[1, {}]]\n',
+     "0", "0.5"),
+    ('kind = "number-local"\np = 3\nlevel = 2\n'
+     "[[primes]]\ne = {}\nf = 1\nnorm_residues = [8]\n", "2", "2.0"),
+], ids=["float", "inline table", "date", "float in characters",
+        "float in primes"])
+def test_other_toml_values_are_refused(tmp_path, capsys, text, good, bad):
+    doc = tmp_path / "doc.toml"
+    doc.write_text(text.format(good))
+    assert run_cli(["number", "--spec", str(doc)])[0] == 0
+    doc.write_text(text.format(bad))
+    capsys.readouterr()
+    assert run_cli(["number", "--spec", str(doc)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("genusctl: schema error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [RuntimeError("invariant broken"),
                                    KeyError("missing")],
                          ids=["RuntimeError", "KeyError"])
