@@ -346,9 +346,6 @@ class FiniteAbelianGroup:
         return tuple((a + b) % d
                      for a, b, d in zip(x, y, self.invariant_factors))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
-
     def scale(self, x, c):
         return tuple((a * c) % d for a, d in zip(x, self.invariant_factors))
 

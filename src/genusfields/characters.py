@@ -59,9 +59,6 @@ class _UnitAmbient:
     def dlog(self, u):
         return self.units.dlog(u)
 
-    def exp(self, vec):
-        return self.units.exp(vec)
-
     @property
     def generators(self):
         return self.units.generators
@@ -69,14 +66,11 @@ class _UnitAmbient:
     def components(self):
         return tuple(Component(key, a) for key, a in self.factorization)
 
-    def infinity_logs(self):
-        """dlog vectors of `units_at_infinity`."""
-        return tuple(map(self.dlog, self.units_at_infinity()))
-
     @cached_property
     def infinity(self):
-        """The units at infinity, once per ambient: `infinity_logs` and
-        the order of the group they span."""
+        """The units at infinity, once per ambient: the dlog vectors of
+        generators of their image (`infinity_logs`, one per kind) and the
+        order of the group they span."""
         vecs = self.infinity_logs()
         return vecs, abelian.subgroup_from_generators(self.group, vecs).order
 
@@ -133,13 +127,11 @@ class NumericAmbient(_UnitAmbient):
     def residues(self):
         return self.units.residues()
 
-    def units_at_infinity(self):
-        """Generators of the image of the units at the infinite prime:
-        -1, whose class is complex conjugation."""
-        return (self.modulus - 1,)
-
     def infinity_logs(self):
-        return (self.units.minus_one_log,)   # read off, with no dlog
+        """The image of the units at the infinite prime is generated by
+        -1, whose class is complex conjugation; its dlog is read off the
+        presentation."""
+        return (self.units.minus_one_log,)
 
     def component_ambient(self, component):
         return numeric_ambient(component.modulus)
@@ -171,15 +163,16 @@ class FunctionFieldAmbient(_UnitAmbient):
         return ff_ambient(fqpoly.factored(
             self.field, [(component.key, component.exponent)]))
 
-    def units_at_infinity(self):
-        """Generators of the image of the units at the infinite prime: the
-        constants F_q*, by their least generator (one column in
+    def infinity_logs(self):
+        """The image of the units at the infinite prime is the constants
+        F_q*: the dlog of their least generator (one column in
         `abelian.pairing_kernel` instead of q - 1)."""
         fld = self.field
         primes = [l for l, _ in abelian.factorize(fld.q - 1)]
-        c = next(c for c in range(1, fld.q)
-                 if all(fld.pow(c, (fld.q - 1) // l) != 1 for l in primes))
-        return (fqpoly.poly(fld, (c,)),)
+        one = fqpoly.one(fld)
+        c = next(c for c in (fqpoly.poly(fld, (a,)) for a in range(1, fld.q))
+                 if all(c ** ((fld.q - 1) // l) != one for l in primes))
+        return (self.dlog(c),)
 
     def reduction_kernel(self, m):
         """Units congruent to 1 modulo the monic divisor m."""
@@ -223,23 +216,10 @@ class Character:
         object.__setattr__(self, "exponents",
                            self.ambient.group.reduce(self.exponents))
 
-    @property
-    def order(self):
-        return self.ambient.group.element_order(self.exponents)
-
     def value_exponent(self, u):
         """chi(u) as an exponent of zeta_e, e the unit-group exponent."""
         return self.ambient.group.pairing(self.exponents,
                                           self.ambient.dlog(u))
-
-    def __mul__(self, other):
-        if self.ambient != other.ambient:
-            raise AmbientMismatchError("characters of different moduli")
-        return Character(self.ambient,
-                         self.ambient.group.add(self.exponents, other.exponents))
-
-    def inverse(self):
-        return Character(self.ambient, self.ambient.group.neg(self.exponents))
 
 
 def character_from_values(ambient, value_exponents, value_order):
@@ -402,19 +382,11 @@ class CharacterGroup:
     def order(self):
         return self.dual.order
 
-    def characters(self):
-        return [Character(self.ambient, vec) for vec in self.dual.elements()]
-
     def generators(self):
         return [Character(self.ambient, self.ambient.group.reduce(row))
                 for row in self.dual.lattice
                 if any(c % d for c, d in
                        zip(row, self.ambient.group.invariant_factors))]
-
-    def contains(self, chi):
-        if chi.ambient != self.ambient:
-            raise AmbientMismatchError("character of a different modulus")
-        return self.dual.contains(chi.exponents)
 
 
 def character_group(ambient, chars):
@@ -434,12 +406,6 @@ def join(x, y):
     if x.ambient != y.ambient:
         raise AmbientMismatchError("character groups of different moduli")
     return CharacterGroup(x.ambient, abelian.product(x.dual, y.dual))
-
-
-def meet(x, y):
-    if x.ambient != y.ambient:
-        raise AmbientMismatchError("character groups of different moduli")
-    return CharacterGroup(x.ambient, abelian.intersect(x.dual, y.dual))
 
 
 def component_decompose(x):

@@ -34,6 +34,8 @@ def parse_document(text):
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise SchemaError(str(exc)) from exc
+    except RecursionError as exc:   # tomllib descends once per nested array
+        raise SchemaError("document nests too deeply") from exc
 
 
 def load_document(path):

