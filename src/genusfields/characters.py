@@ -189,17 +189,9 @@ def numeric_ambient(n):
     return NumericAmbient(n)
 
 
-@lru_cache(maxsize=512)
-def _ff_ambient_cached(p, s, factors_key):
-    fld = fqpoly.fq_field(p, s)
-    pairs = [(fqpoly.poly_from_code(fld, code), a) for code, a in factors_key]
-    return FunctionFieldAmbient(fqpoly.factored(fld, pairs))
-
-
-def ff_ambient(factored_n):
-    fld = factored_n.field
-    key = tuple((p_.code(), a) for p_, a in factored_n.factors)
-    return _ff_ambient_cached(fld.p, fld.s, key)
+# one ambient per modulus: `fqpoly.factored` puts the factors in code
+# order, so the factorization is the same key however it was built
+ff_ambient = _ff_ambient_cached = lru_cache(maxsize=512)(FunctionFieldAmbient)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,18 @@
 Field elements are integers in [0, q) read as base-p digit vectors on the
 power basis of a fixed degree-s modulus over F_p (the lexicographically
 first monic irreducible, so serialized values are reproducible).
-Polynomials are immutable coefficient tuples, low degree first.
 
-Every polynomial operation, for every q, runs on one kernel of packed
-integers over F_p (`Kernel`): a product is one integer multiply by
-Kronecker substitution with every slot reduced mod p at once, a
-remainder by a fixed modulus two more multiplies (Barrett), and a
-general division eliminates one top coefficient per step.  A field
-element of F_q is a constant polynomial there; `FqField` itself carries
-no arithmetic.  The unit groups, the idele check and the Carlitz
-recurrence work on kernel integers directly; `packed` and `from_packed`
-convert.
+A polynomial has two forms: its coefficients, low degree first, for
+input and printing (`FqPoly`), and its kernel integer (`packed`,
+`from_packed`) for arithmetic, ordering and cache keys.  Kernel integers
+order polynomials by degree, then by coefficients from the top, so "code
+order" below means increasing kernel integer.
+
+`FqField` is the kernel, on packed integers over F_p: a product is one
+integer multiply by Kronecker substitution with every slot reduced mod p
+at once, a remainder by a fixed modulus two more multiplies (Barrett),
+and a general division eliminates one top coefficient per step.  A field
+element of F_q is a constant polynomial.
 
 Includes irreducibility testing, Cantor-Zassenhaus factorization of
 moduli, and the unit groups (F_q[T]/<N>)* with exact discrete logarithms,
@@ -45,8 +46,9 @@ def _repeat(pattern, period, bits):
     return pattern * (((1 << (period * count)) - 1) // ((1 << period) - 1))
 
 
-class Kernel:
-    """F_q[T] on packed integers over F_p, q = p^s.
+class FqField:
+    """The finite field F_q, q = p^s <= 2^16, and F_q[T] on packed
+    integers over F_p: the kernel of every polynomial operation.
 
     An integer is cut into w-bit slots.  Coefficient i of a polynomial
     owns the 2s - 1 slots from slot (2s - 1) i on: its base-p digits fill
@@ -61,9 +63,14 @@ class Kernel:
     division reduces after every `cap` steps.
     """
 
-    def __init__(self, fld):
-        p, s = fld.p, fld.s
-        self.p, self.s, self.q = p, s, fld.q
+    def __init__(self, p, s=1):
+        if abelian.factorize(p) != [(p, 1)]:
+            raise SchemaError(f"{p} is not prime")
+        if s < 1 or p ** s > FIELD_SIZE_BOUND:
+            raise BoundExceededError(
+                f"field size {p}^{s} outside (1, {FIELD_SIZE_BOUND}]")
+        self.p, self.s, self.q = p, s, p ** s
+        self.modulus = _field_modulus(p, s) if s > 1 else None
         self.stride = 2 * s - 1
         # the narrowest slot whose `cap` exceeds 2^11 coefficients
         self.w = w = next(w for w in _TYPECODES if s * p * p << 12 < 1 << w)
@@ -73,7 +80,7 @@ class Kernel:
         self._code = _TYPECODES[w]
         self._slot = (1 << w) - 1
         # field element c -> its s digits, then s - 1 zero slots
-        self._place = tuple(p ** j for j in range(s)) + (fld.q,) * (s - 1)
+        self._place = tuple(p ** j for j in range(s)) + (self.q,) * (s - 1)
         # floor(d m / 2^shift) = floor(d / p) for every slot value
         # d < 2^(w - 1) (Granlund and Montgomery, PLDI 1994)
         self._shift = w - 1 + (p - 1).bit_length()
@@ -81,7 +88,7 @@ class Kernel:
         self._folds = ()
         if s > 1:
             base = fq_field(p)
-            m = FqPoly(base, fld.modulus)
+            m = FqPoly(base, self.modulus)
             self._folds = tuple(
                 (j, sum(c << (w * i) for i, c in enumerate(
                     (FqPoly(base, (0,) * j + (1,)) % m).coeffs)))
@@ -90,6 +97,16 @@ class Kernel:
         self._grow(1 << 12)
         # per divisor b: the rows and l^-1 of `divmod`, and Barrett's mu
         self._divisors, self._reducers = {}, {}
+
+    def __eq__(self, other):
+        return (isinstance(other, FqField)
+                and (self.p, self.s) == (other.p, other.s))
+
+    def __hash__(self):
+        return hash(("FqField", self.p, self.s))
+
+    def __repr__(self):
+        return f"FqField({self.p})" if self.s == 1 else f"FqField({self.p}, {self.s})"
 
     def _grow(self, bits):
         """Masks for integers of up to `bits` bits, with room for the
@@ -162,13 +179,8 @@ class Kernel:
         return self.reduce(x & self._keep)
 
     def inverse(self, c):
-        """c^-1 = c^(q-2) for a nonzero constant c, by repeated squaring."""
-        out, e = 1, self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, c)
-            c, e = self.mul(c, c), e >> 1
-        return out
+        """c^-1 = c^(q-2) for a nonzero constant c."""
+        return self.pow(c, self.q - 2)
 
     def _cached(self, cache, b, build):
         if b not in cache:
@@ -231,15 +243,22 @@ class Kernel:
             return self.sub(x, self.mul(quo, b))
         return x if d < n else self.divmod(x, b)[1]
 
-    def pow_mod(self, x, e, m):
-        """x^e modulo m, by repeated squaring."""
-        out, x = self.mod(1, m), self.mod(x, m)
+    def pow(self, x, e, m=None):
+        """x^e, by repeated squaring; with a modulus m != 0, x^e mod m,
+        reduced after every product."""
+        out = 1
+        if m is not None:
+            out, x = self.mod(1, m), self.mod(x, m)
         while e:
             if e & 1:
-                out = self.mod(self.mul(out, x), m)
+                out = self.mul(out, x)
+                if m is not None:
+                    out = self.mod(out, m)
             e >>= 1
             if e:
-                x = self.mod(self.mul(x, x), m)
+                x = self.mul(x, x)
+                if m is not None:
+                    x = self.mod(x, m)
         return out
 
     def monic(self, x):
@@ -272,9 +291,9 @@ class Kernel:
 
     def span(self, basis):
         """Every F_p-combination of `basis`, the coefficient of the first
-        vector varying fastest: code order for `monomials`.  For p = 2 the
-        sums are XORs, so combinations of reduced vectors come out reduced;
-        for odd p they are unreduced."""
+        vector varying fastest: code order for `monomials`.  The sums are
+        reduced for p = 2 (XORs of reduced vectors) and on `monomials` (one
+        digit below p per slot); otherwise they are unreduced."""
         out = [0]
         for e in basis:
             out = out + [x ^ e for x in out] if self.p == 2 else [
@@ -290,37 +309,6 @@ def _field_modulus(p, s):
         if low[0] and is_irreducible(FqPoly(base, low + (1,))):
             return low + (1,)
     raise RuntimeError("no irreducible modulus found")
-
-
-class FqField:
-    """The finite field with q = p^s elements, q bounded at desk scale.
-
-    It carries no arithmetic: an element is a constant polynomial, and
-    every operation on it runs on the kernel (`FqPoly`, `Kernel`), where
-    for s > 1 a product is reduced by the field modulus.
-    """
-
-    def __init__(self, p, s=1):
-        if abelian.factorize(p) != [(p, 1)]:
-            raise SchemaError(f"{p} is not prime")
-        if s < 1 or p ** s > FIELD_SIZE_BOUND:
-            raise BoundExceededError(
-                f"field size {p}^{s} outside (1, {FIELD_SIZE_BOUND}]")
-        self.p = p
-        self.s = s
-        self.q = p ** s
-        self.modulus = _field_modulus(p, s) if s > 1 else None
-        self.kernel = Kernel(self)
-
-    def __eq__(self, other):
-        return (isinstance(other, FqField)
-                and (self.p, self.s) == (other.p, other.s))
-
-    def __hash__(self):
-        return hash(("FqField", self.p, self.s))
-
-    def __repr__(self):
-        return f"FqField({self.p})" if self.s == 1 else f"FqField({self.p}, {self.s})"
 
 
 @lru_cache(maxsize=32)
@@ -357,37 +345,30 @@ class FqPoly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def code(self):
-        """Integer encoding sum coeffs[i] * q^i, unique per polynomial."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.field.q + c
-        return out
-
     def __add__(self, other):
         _same_field(self, other)
-        return from_packed(self.field, self.field.kernel.add(
+        return from_packed(self.field, self.field.add(
             packed(self), packed(other)))
 
     def __sub__(self, other):
         _same_field(self, other)
-        return from_packed(self.field, self.field.kernel.sub(
+        return from_packed(self.field, self.field.sub(
             packed(self), packed(other)))
 
     def __mul__(self, other):
         _same_field(self, other)
-        return from_packed(self.field, self.field.kernel.mul(
+        return from_packed(self.field, self.field.mul(
             packed(self), packed(other)))
 
     def scale(self, c):
-        k = self.field.kernel
-        return from_packed(self.field, k.mul(k.pack((c,)), packed(self)))
+        fld = self.field
+        return from_packed(fld, fld.mul(fld.pack((c,)), packed(self)))
 
     def __divmod__(self, other):
         _same_field(self, other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        quo, rem = self.field.kernel.divmod(packed(self), packed(other))
+        quo, rem = self.field.divmod(packed(self), packed(other))
         return from_packed(self.field, quo), from_packed(self.field, rem)
 
     def __mod__(self, other):
@@ -398,20 +379,13 @@ class FqPoly:
         modulus, pow(f, e, m), reduced modulo m after every product."""
         if e < 0:
             raise ValueError(f"negative exponent {e}")
+        m = None
         if modulus is not None:
             _same_field(self, modulus)
             if modulus.is_zero:
                 raise ZeroDivisionError("reduction by the zero polynomial")
-            return from_packed(self.field, self.field.kernel.pow_mod(
-                packed(self), e, packed(modulus)))
-        out, base = one(self.field), self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+            m = packed(modulus)
+        return from_packed(self.field, self.field.pow(packed(self), e, m))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -440,33 +414,23 @@ def packed(f):
     """The kernel integer of a polynomial, packed once per object."""
     x = f.__dict__.get("_packed")
     if x is None:
-        x = f.field.kernel.pack(f.coeffs)
+        x = f.field.pack(f.coeffs)
         object.__setattr__(f, "_packed", x)
     return x
 
 
-def from_packed(fld, x, coeffs=None):
+def from_packed(fld, x):
     """The polynomial of a reduced kernel integer.  Its coefficients are
     in range by construction, so `__post_init__` does not check them."""
     f = object.__new__(FqPoly)
     object.__setattr__(f, "field", fld)
-    object.__setattr__(f, "coeffs", fld.kernel.unpack(x)
-                       if coeffs is None else coeffs)
+    object.__setattr__(f, "coeffs", fld.unpack(x))
     object.__setattr__(f, "_packed", x)
     return f
 
 
 def poly(fld, coeffs):
     return FqPoly(fld, tuple(coeffs))
-
-
-def poly_from_code(fld, code):
-    cs = []
-    while code:
-        cs.append(code % fld.q)
-        code //= fld.q
-    cs = tuple(cs)
-    return from_packed(fld, fld.kernel.pack(cs), cs)
 
 
 def variable(fld):
@@ -488,10 +452,10 @@ def is_irreducible(f):
     """
     if f.degree < 1:
         raise SchemaError("irreducibility is undefined for constants")
-    k, m = f.field.kernel, packed(f)
+    k, m = f.field, packed(f)
     t = h = 1 << k.group
     for _ in range(f.degree // 2):
-        h = k.pow_mod(h, k.q, m)
+        h = k.pow(h, k.q, m)
         if k.gcd(m, k.sub(h, t)) != 1:
             return False
     return True
@@ -516,7 +480,7 @@ class FactoredModulus:
     """A monic modulus N with its complete factorization P_1^a_1...P_r^a_r."""
 
     field: FqField
-    factors: tuple  # ((FqPoly, multiplicity), ...) sorted by (degree, code)
+    factors: tuple  # ((FqPoly, multiplicity), ...) in code order
     modulus: FqPoly
 
     def __post_init__(self):
@@ -540,22 +504,16 @@ class FactoredModulus:
 
 def _product(fld, pairs):
     """The kernel integer of the product of P^a over the (P, a) pairs."""
-    k, out = fld.kernel, 1
+    out = 1
     for p_, a in pairs:
-        x = packed(p_)
-        while a:
-            if a & 1:
-                out = k.mul(out, x)
-            a >>= 1
-            if a:
-                x = k.mul(x, x)
+        out = fld.mul(out, fld.pow(packed(p_), a))
     return out
 
 
 def factored(fld, pairs):
     """FactoredModulus from (irreducible, multiplicity) pairs."""
     pairs = tuple(sorted(((p_, int(a)) for p_, a in pairs),
-                         key=lambda t: (t[0].degree, t[0].code())))
+                         key=lambda t: packed(t[0])))
     return FactoredModulus(fld, pairs, from_packed(fld, _product(fld, pairs)))
 
 
@@ -581,7 +539,7 @@ def _equal_degree_factors(k, g, d, rng):
                 x = k.mod(k.mul(x, x), g)
                 b = k.add(b, x)
         else:
-            b = k.sub(k.pow_mod(a, (k.q ** d - 1) // 2, g), 1)
+            b = k.sub(k.pow(a, (k.q ** d - 1) // 2, g), 1)
         u = k.gcd(g, b)
         todo += [u, k.divmod(g, u)[0]] if 0 < k.degree(u) < n else [g]
     return out
@@ -603,24 +561,24 @@ def factor_modulus(n):
         raise BoundExceededError(f"F_{n.field.q}[T]/({n}) of size {size} "
                                  f"exceeds the factorization bound {bound}")
     fld = n.field
-    k, rng = fld.kernel, random.Random(_SPLIT_SEED)
-    work, t, pairs = k.monic(packed(n)), 1 << k.group, []
+    rng = random.Random(_SPLIT_SEED)
+    work, t, pairs = fld.monic(packed(n)), 1 << fld.group, []
     h, d = t, 0
-    # h is T^(q^d) modulo a multiple of work, which `pow_mod` reduces; no
+    # h is T^(q^d) modulo a multiple of work, which `pow` reduces; no
     # prime of degree <= d is left in work, so below degree 2 (d + 1) it
     # is 1 or prime
-    while k.degree(work) >= 2 * (d + 1):
+    while fld.degree(work) >= 2 * (d + 1):
         d += 1
-        h = k.pow_mod(h, k.q, work)
-        g = k.gcd(work, k.sub(h, t))
+        h = fld.pow(h, fld.q, work)
+        g = fld.gcd(work, fld.sub(h, t))
         if g == 1:
             continue
-        for p_ in _equal_degree_factors(k, g, d, rng):
+        for p_ in _equal_degree_factors(fld, g, d, rng):
             a = 0
-            quo, rem = k.divmod(work, p_)
+            quo, rem = fld.divmod(work, p_)
             while not rem:
                 work, a = quo, a + 1
-                quo, rem = k.divmod(work, p_)
+                quo, rem = fld.divmod(work, p_)
             pairs.append((from_packed(fld, p_), a))
     if work != 1:
         pairs.append((from_packed(fld, work), 1))
@@ -650,18 +608,18 @@ class _PrimePowerUnits:
         fld = self.field = p_poly.field
         self.prime, self.modulus = p_poly, p_poly ** a
         _check_enumeration_bound(self.modulus)
-        k, m, pm = fld.kernel, packed(self.modulus), packed(p_poly)
-        self._pow = lambda x, e: k.pow_mod(x, e, m)
-        self._mul = lambda x, y: k.mod(k.mul(x, y), m)
+        m, pm = packed(self.modulus), packed(p_poly)
+        self._pow = lambda x, e: fld.pow(x, e, m)
+        self._mul = lambda x, y: fld.mod(fld.mul(x, y), m)
         cyc = self._cyc = fld.q ** p_poly.degree - 1
         wild = self._wild = (cyc + 1) ** (a - 1)
         root = next(x for x in self._codes() if all(
-            k.pow_mod(x, cyc // l, pm) != 1 for l, _ in abelian.factorize(cyc)))
+            fld.pow(x, cyc // l, pm) != 1 for l, _ in abelian.factorize(cyc)))
         self._log = abelian.CyclicLog(  # root^e, e = 1 mod cyc, 0 mod wild
             self._pow(root, wild * pow(wild, -1, cyc)), cyc, self._pow,
             self._mul)
-        gens = [k.add(1, k.mul(x, packed(p_poly ** j)))
-                for j in range(1, a) for x in k.monomials(p_poly.degree)]
+        gens = [fld.add(1, fld.mul(x, packed(p_poly ** j)))
+                for j in range(1, a) for x in fld.monomials(p_poly.degree)]
         w = fld.s * p_poly.degree
         # per layer: P^k and the powers 0 .. p-1 of its generators' inverses
         inverses = [list(itertools.accumulate(
@@ -685,16 +643,16 @@ class _PrimePowerUnits:
 
     def _codes(self):
         """Kernel integers of the units modulo P^a, in code order."""
-        k, pm = self.field.kernel, packed(self.prime)
-        for code in range(1, self.field.q ** self.modulus.degree):
-            x = packed(poly_from_code(self.field, code))
+        k, pm = self.field, packed(self.prime)
+        for cs in itertools.product(range(k.q), repeat=self.modulus.degree):
+            x = k.pack(cs[::-1])
             if k.mod(x, pm):
                 yield x
 
     def _digits(self, x):
         """Base-p digits of the 1-unit x: at layer k, those of (x - 1) / P^k
         mod P, then x divided by the generators to them."""
-        k, s, pm = self.field.kernel, self.field.s, packed(self.prime)
+        k, s, pm = self.field, self.field.s, packed(self.prime)
         out = []
         for pk, powers in self._layers:
             slots = k._slots(k.mod(k.divmod(k.sub(x, 1), pk)[0], pm))
@@ -715,7 +673,7 @@ class _PrimePowerUnits:
             self._digits(self._pow(x, cyc)) if self._layers else ())]
 
     def dlog_raw(self, residue):
-        k = self.field.kernel
+        k = self.field
         x = k.mod(packed(residue), packed(self.modulus))
         if not k.mod(x, packed(self.prime)):
             raise ValueError(f"{residue} is not a unit modulo {self.modulus}")
@@ -732,10 +690,10 @@ def unit_mask(degree, primes):
     """Whether each residue of degree < `degree`, in code order, is a unit
     modulo a modulus with the prime factors `primes`: not a multiple P t
     of a prime P.  The multiples span the products P x^j T^i."""
-    k = primes[0].field.kernel
+    k = primes[0].field
     multiples = itertools.chain.from_iterable(k.span(
         [k.mul(packed(p_), e) for e in k.monomials(degree - p_.degree)])
-        for p_ in primes)   # reduced for p = 2 (`Kernel.span`)
+        for p_ in primes)   # reduced for p = 2 (`FqField.span`)
     multiples = set(multiples if k.p == 2 else map(k.reduce, multiples))
     return [x not in multiples for x in k.span(k.monomials(degree))]
 
@@ -743,7 +701,7 @@ def unit_mask(degree, primes):
 def unit_residues(degree, primes):
     """Kernel integers of the units modulo a modulus of the given degree
     with the prime factors `primes`, in code order."""
-    k = primes[0].field.kernel
+    k = primes[0].field
     return list(itertools.compress(k.span(k.monomials(degree)),
                                    unit_mask(degree, primes)))
 
@@ -787,13 +745,13 @@ def crt_idempotents(factored_n):
     """The CRT idempotents of N, keyed by prime P: 1 modulo the power of P
     in N, 0 modulo the rest (the cofactor inverted by Euler's theorem)."""
     fld = factored_n.field
-    k, n = fld.kernel, packed(factored_n.modulus)
+    n = packed(factored_n.modulus)
     out = {}
     for p_, a in factored_n.factors:
         pa, qd = packed(p_ ** a), fld.q ** p_.degree
-        cof = k.divmod(n, pa)[0]
-        inv = k.pow_mod(cof, qd ** a - qd ** (a - 1) - 1, pa)  # |units| - 1
-        out[p_] = from_packed(fld, k.mod(k.mul(cof, inv), n))
+        cof = fld.divmod(n, pa)[0]
+        inv = fld.pow(cof, qd ** a - qd ** (a - 1) - 1, pa)  # |units| - 1
+        out[p_] = from_packed(fld, fld.mod(fld.mul(cof, inv), n))
     return out
 
 

@@ -68,14 +68,13 @@ class CarlitzOperator:
         b x^(q^j) is a b(T^(q^i)) x^(q^(i+j))."""
         _same(self, other)
         fld = self.field
-        k = fld.kernel
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) \
             if self.coeffs and other.coeffs else []
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                stretched = k.frobenius(fqpoly.packed(b), fld.q ** i)
-                out[i + j] = k.add(out[i + j],
-                                   k.mul(fqpoly.packed(a), stretched))
+                stretched = fld.frobenius(fqpoly.packed(b), fld.q ** i)
+                out[i + j] = fld.add(out[i + j],
+                                     fld.mul(fqpoly.packed(a), stretched))
         return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, x)
                                           for x in out))
 
@@ -92,17 +91,16 @@ def carlitz_operator(m):
     Coefficient j of C_(T^(i+1)) = C_T o C_(T^i) is T a_ij + a_i,j-1(T^q),
     on kernel integers."""
     fld = m.field
-    k = fld.kernel
     row = [1]
     out = [0] * (m.degree + 1)
     for i, c in enumerate(m.coeffs):
         if i:
-            row = [k.add(a << k.group, k.frobenius(b, fld.q))
+            row = [fld.add(a << fld.group, fld.frobenius(b, fld.q))
                    for a, b in zip(row + [0], [0] + row)]
         if c:
-            c = k.pack((c,))
+            c = fld.pack((c,))
             for j, a in enumerate(row):
-                out[j] = k.add(out[j], k.mul(c, a))
+                out[j] = fld.add(out[j], fld.mul(c, a))
     return CarlitzOperator(fld, tuple(fqpoly.from_packed(fld, a)
                                       for a in out))
 
@@ -152,69 +150,69 @@ def idele_quotient_check(factored_n):
     factors = factored_n.factors
     if not factors:
         return True
-    k, n_k = fld.kernel, fqpoly.packed(n)
+    n_k = fqpoly.packed(n)
     blocks = [(p_, p_ ** a) for p_, a in factors]
     moduli = [fqpoly.packed(pa) for _, pa in blocks]
     # CRT idempotents: e_i = 1 at block i, 0 elsewhere
     idems = [fqpoly.packed(e)
              for e in fqpoly.crt_idempotents(factored_n).values()]
     for m, idem in zip(moduli, idems):
-        if k.mod(idem, m) != 1:
+        if fld.mod(idem, m) != 1:
             raise RuntimeError("idempotent is not 1 on its own block")
-        if any(k.mod(idem, other) for other in moduli if other != m):
+        if any(fld.mod(idem, other) for other in moduli if other != m):
             raise RuntimeError("idempotent does not vanish off its block")
-    if k.mod(reduce(k.add, idems), n_k) != 1:
+    if fld.mod(reduce(fld.add, idems), n_k) != 1:
         raise RuntimeError("idempotents do not sum to 1")
 
     # u -> e_i u mod N is F_p-linear, so the images of all residues mod
     # P^a are the F_p-combinations of the images of the monomials
     units, images = [], []
     for (p_, pa), idem in zip(blocks, idems):
-        basis = k.monomials(pa.degree)
+        basis = fld.monomials(pa.degree)
         mask = fqpoly.unit_mask(pa.degree, [p_])
-        units.append(list(itertools.compress(k.span(basis), mask)))
-        images.append(list(itertools.compress(k.span(
-            [k.mod(k.mul(idem, e), n_k) for e in basis]), mask)))
-    partial, two = images[0], k.p == 2
+        units.append(list(itertools.compress(fld.span(basis), mask)))
+        images.append(list(itertools.compress(fld.span(
+            [fld.mod(fld.mul(idem, e), n_k) for e in basis]), mask)))
+    partial, two = images[0], fld.p == 2
     for block in images[1:]:    # for p = 2, XOR keeps every slot reduced
         partial = [x ^ y for x in partial for y in block] if two else [
             x + y for x in partial for y in block]
     expected = factored_n.unit_order()
-    distinct = set(partial) if two else _reduced_slices(k, n, partial)
+    distinct = set(partial) if two else _reduced_slices(fld, n, partial)
     if len(partial) != expected or len(distinct) != expected:
         return False
 
     # residue recovery and multiplicativity on sampled tuples, by products
     def combine(residues):
-        return k.mod(k.reduce(sum(map(k.mul, idems, residues))), n_k)
+        return fld.mod(fld.reduce(sum(map(fld.mul, idems, residues))), n_k)
 
     rng = random.Random(0)
     for _ in range(min(8, expected)):
         pick = [rng.choice(block) for block in units]
         r = combine(pick)
-        if any(k.mod(r, m) != u for u, m in zip(pick, moduli)):
+        if any(fld.mod(r, m) != u for u, m in zip(pick, moduli)):
             return False
     for _ in range(min(8, expected)):
         x = [rng.choice(block) for block in units]
         y = [rng.choice(block) for block in units]
-        direct = combine([k.mod(k.mul(u, v), m)
+        direct = combine([fld.mod(fld.mul(u, v), m)
                           for u, v, m in zip(x, y, moduli)])
-        if k.mod(k.mul(combine(x), combine(y)), n_k) != direct:
+        if fld.mod(fld.mul(combine(x), combine(y)), n_k) != direct:
             return False
     return True
 
 
-def _reduced_slices(k, n, values):
-    """The set of `k.reduce(x)` over `values`, unreduced kernel integers
+def _reduced_slices(fld, n, values):
+    """The set of `fld.reduce(x)` over `values`, unreduced kernel integers
     of polynomials of degree < deg n, as byte strings: the values are laid
     side by side in slices of whole slots and reduced a batch at a time,
     each batch as wide as the kernel's masks, so that they do not grow."""
-    width = n.degree * k.group // 8
-    per = max(k._bits // (8 * width), 1)
+    width = n.degree * fld.group // 8
+    per = max(fld._bits // (8 * width), 1)
     out = set()
     for i in range(0, len(values), per):
         batch = values[i:i + per]
-        flat = k.reduce(int.from_bytes(b"".join(
+        flat = fld.reduce(int.from_bytes(b"".join(
             [x.to_bytes(width, "little") for x in batch]), "little")
         ).to_bytes(width * len(batch), "little")
         out.update(flat[j:j + width] for j in range(0, len(flat), width))

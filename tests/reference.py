@@ -27,9 +27,25 @@ def kernel_elements(x):
 
 def poly_gcd(a, b):
     """Monic greatest common divisor in F_q[T]."""
-    k = a.field.kernel
-    return fqpoly.from_packed(a.field, k.gcd(fqpoly.packed(a),
-                                             fqpoly.packed(b)))
+    return fqpoly.from_packed(a.field, a.field.gcd(fqpoly.packed(a),
+                                                   fqpoly.packed(b)))
+
+
+def code(f):
+    """The integer sum c_i q^i of the coefficients c_i of f."""
+    out = 0
+    for c in reversed(f.coeffs):
+        out = out * f.field.q + c
+    return out
+
+
+def poly_from_code(fld, code):
+    """The polynomial whose coefficients are the base-q digits of code."""
+    cs = []
+    while code:
+        code, c = divmod(code, fld.q)
+        cs.append(c)
+    return fqpoly.poly(fld, cs)
 
 
 def _digits(fld, a):

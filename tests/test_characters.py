@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from genusfields import abelian, characters as ch, fqpoly
 from genusfields import genus_function as gf, genus_number as gn
 from genusfields.errors import SchemaError
-from reference import is_even, kernel_elements, poly_gcd, trivial_group
+from reference import (code, is_even, kernel_elements, poly_gcd,
+                       trivial_group)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +409,19 @@ def test_ff_ramification_uses_residue_characteristic():
     assert ram[t] == {"e": 4, "tame": 1, "wild": 4}
 
 
+def test_one_ambient_per_modulus_however_it_was_built():
+    # the cache key is the factored modulus, whose factors `factored`
+    # puts in code order whatever order the pairs come in
+    F3 = fqpoly.fq_field(3)
+    t, one = fqpoly.variable(F3), fqpoly.one(F3)
+    ch._ff_ambient_cached.cache_clear()
+    amb = ch.ff_ambient(fqpoly.factor_modulus(t * t * (t * t + one)))
+    again = ch.ff_ambient(fqpoly.factored(F3, [(t * t + one, 1), (t, 2)]))
+    assert again is amb
+    info = ch._ff_ambient_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Conductors and even parts against their definitions
 
@@ -424,7 +438,7 @@ def _divisor_kernels(amb):
             for _ in range(a):
                 powers.append(powers[-1] * p_)
             divs = [d * pw for d in divs for pw in powers]
-        divs.sort(key=lambda d: (d.degree, d.code()))
+        divs.sort(key=lambda d: (d.degree, code(d)))
     return [(m, amb.reduction_kernel(m)) for m in divs]
 
 

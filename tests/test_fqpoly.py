@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from genusfields import fqpoly as fq
 from genusfields.errors import BoundExceededError, SchemaError
-from reference import (poly_gcd, poly_value, school_field_add,
-                       school_field_mul, school_field_neg)
+from reference import (code, poly_from_code, poly_gcd, poly_value,
+                       school_field_add, school_field_mul, school_field_neg)
 
 F2 = fq.fq_field(2)
 F3 = fq.fq_field(3)
@@ -123,58 +123,56 @@ class TestKernel:
                 assert rem.degree < b.degree
                 qb = school_mul(fld, quo.coeffs, bcs)
                 assert fq.poly(fld, qb) + rem == a
-                k = fld.kernel
-                assert k.mod(fq.packed(a), fq.packed(b)) == fq.packed(rem)
+                assert fld.mod(fq.packed(a), fq.packed(b)) == fq.packed(rem)
             assert fq.poly(fld, acs).scale(3 % fld.q).coeffs == trim(
                 school_field_mul(fld, 3 % fld.q, x) for x in acs)
 
     def test_frobenius_stretch(self):
         for fld in (F3, F4, F512):
-            k = fld.kernel
             a = fq.poly(fld, (1, 0, fld.q - 1, 2))
-            assert fq.from_packed(fld, k.frobenius(fq.packed(a), fld.q)) \
+            assert fq.from_packed(fld, fld.frobenius(fq.packed(a), fld.q)) \
                 == fq.poly(fld, stretch(a.coeffs, fld.q))
 
     @pytest.mark.parametrize("fld", KERNEL_FIELDS)
     def test_reduce_on_the_slot_domain(self, fld):
         # every slot value below 2^(w-1), the top ones and the largest of
         # residue p - 1 among them
-        k, p = fld.kernel, fld.p
-        top = (1 << (k.w - 1)) - 1
+        p = fld.p
+        top = (1 << (fld.w - 1)) - 1
         rng = random.Random(p)
         last = top - (top + 1) % p
         slots = [0, 1, p - 1, p, top, last, last - p]
         slots += [rng.randrange(top) for _ in range(64)]
-        x = sum(d << k.w * i for i, d in enumerate(slots))
-        assert k.reduce(x) == sum(d % p << k.w * i
-                                  for i, d in enumerate(slots))
+        x = sum(d << fld.w * i for i, d in enumerate(slots))
+        assert fld.reduce(x) == sum(d % p << fld.w * i
+                                    for i, d in enumerate(slots))
 
     @pytest.mark.parametrize("fld", KERNEL_FIELDS)
     def test_capacity_keeps_slots_in_the_reduction_domain(self, fld):
         # a product of two reduced factors, the shorter with `cap`
         # coefficients, or `cap` division steps from a reduced dividend
-        k, p = fld.kernel, fld.p
-        assert p - 1 + k.cap * k.s * (p - 1) ** 2 < 1 << (k.w - 1)
-        assert k.cap >= 2 ** 12
+        p = fld.p
+        assert p - 1 + fld.cap * fld.s * (p - 1) ** 2 < 1 << (fld.w - 1)
+        assert fld.cap >= 2 ** 12
 
     @pytest.mark.parametrize("fld", [F2, F3, F4])
     def test_products_at_the_capacity(self, fld):
         # every coefficient q - 1: the coefficient of T^i of the square
         # is (q-1)^2 times the number of pairs summing to i
-        k, n = fld.kernel, fld.kernel.cap
+        n = fld.cap
         c = fld.q - 1
-        a = k.pack((c,) * n)
+        a = fld.pack((c,) * n)
         square = school_field_mul(fld, c, c)
-        assert k.unpack(k.mul(a, a)) == tuple(
+        assert fld.unpack(fld.mul(a, a)) == tuple(
             school_field_mul(fld, square, (min(i, 2 * n - 2 - i) + 1) % fld.p)
             for i in range(2 * n - 1))
-        longer = k.pack((c,) * (n + 1))
+        longer = fld.pack((c,) * (n + 1))
         with pytest.raises(BoundExceededError):
-            k.mul(longer, longer)
+            fld.mul(longer, longer)
         # a division of cap + 2 steps, through one reduction
-        b, x = fq.packed(fq.poly(fld, (1, 1))), a << 3 * k.group
-        quo, rem = k.divmod(x, b)
-        assert k.degree(quo) == n + 1 and k.add(k.mul(quo, b), rem) == x
+        b, x = fq.packed(fq.poly(fld, (1, 1))), a << 3 * fld.group
+        quo, rem = fld.divmod(x, b)
+        assert fld.degree(quo) == n + 1 and fld.add(fld.mul(quo, b), rem) == x
 
     def test_long_product_mod_65521(self):
         # slot sums reach (p - 1)^2 2^15 ~ 2^47: a 32-bit slot, or one
@@ -206,11 +204,10 @@ class TestField:
         # against the schoolbook: a field element is a constant polynomial
         # on the kernel, where for s > 1 a product is folded by the field
         # modulus
-        k = fld.kernel
         for a in range(1, fld.q):
             neg = fq.poly(fld, ()) - const(fld, a)
             assert neg == const(fld, school_field_neg(fld, a))
-            inv = k.unpack(k.inverse(k.pack((a,))))
+            inv = fld.unpack(fld.inverse(fld.pack((a,))))
             assert inv == (school_field_inv(fld, a),)
             assert school_field_mul(fld, a, inv[0]) == 1
         rng = random.Random(fld.q)
@@ -307,11 +304,42 @@ class TestPolyArith:
         with pytest.raises(ValueError):
             t ** -1
 
-    def test_code_round_trip(self):
-        for fld in (F2, F3, F4):
-            for code in range(fld.q ** 4):
-                f = fq.poly_from_code(fld, code)
-                assert f.code() == code
+    def test_powers_against_repeated_products(self):
+        # `FqField.pow` serves every power; `*` alone checks it here
+        rng = random.Random(12)
+        for fld in (F2, F3, F4, F9):
+            for _ in range(6):
+                f = fq.poly(fld, [rng.randrange(fld.q)
+                                  for _ in range(rng.randint(0, 4))])
+                expected = fq.one(fld)
+                for e in range(13):
+                    assert f ** e == expected
+                    expected = expected * f
+
+    def test_product_of_prime_powers(self):
+        # the kernel integer of prod P^a, against the P repeated a times
+        for fld in (F2, F3, F4, F9):
+            rng = random.Random(fld.q)
+            primes = fq.monic_irreducibles(fld, 1) + fq.monic_irreducibles(
+                fld, 2)[:3]
+            for _ in range(6):
+                pairs = [(p_, rng.randint(1, 12))
+                         for p_ in rng.sample(primes, 3)]
+                expected = fq.one(fld)
+                for p_, a in pairs:
+                    for _ in range(a):
+                        expected = expected * p_
+                assert fq._product(fld, pairs) == fq.packed(expected)
+
+    @pytest.mark.parametrize("fld", [F2, F3, F4, F8, F9],
+                             ids=["F2", "F3", "F4", "F8", "F9"])
+    def test_kernel_integers_sort_in_code_order(self, fld):
+        # so sorting factors by `packed` keeps the (degree, code) order
+        # of the CRT and of the canonical generators
+        polys = [poly_from_code(fld, c) for c in range(fld.q ** 4)]
+        random.Random(fld.q).shuffle(polys)
+        assert sorted(polys, key=fq.packed) == sorted(
+            polys, key=lambda f: (f.degree, code(f)))
 
 
 class TestIrreducibility:
@@ -446,17 +474,16 @@ class TestFactorization:
         # products of equal-degree primes and the primes, all dividing N;
         # a Euclid remainder is used once and is not cached
         rng = random.Random(fld.q)
-        k = fld.kernel
         deg = next(d for d in range(2, 20) if fld.q ** (d + 1) > 2 ** 16)
         for n in [_equal_degree_product(fld, 2)] + [
                 fq.poly(fld, [rng.randrange(fld.q) for _ in range(deg)] + [1])
                 for _ in range(10)]:
-            k._divisors.clear()
-            k._reducers.clear()
+            fld._divisors.clear()
+            fld._reducers.clear()
             fq.factor_modulus(n)
-            cached = list(k._divisors)
+            cached = list(fld._divisors)
             assert cached
-            assert all(k.divmod(fq.packed(n), b)[1] == 0 for b in cached)
+            assert all(fld.divmod(fq.packed(n), b)[1] == 0 for b in cached)
 
     @pytest.mark.parametrize("fld,coeffs", [
         (F5, (3, 0, 4, 2)), (F9, (0, 5, 7, 0, 4)), (F3, (2, 2, 0, 2))])
@@ -505,7 +532,7 @@ def trial_division_factors(n):
                 if work.degree < d * 2:
                     break
         d += 1
-    pairs.sort(key=lambda t: (t[0].degree, t[0].code()))
+    pairs.sort(key=lambda t: (t[0].degree, code(t[0])))
     return [(p_.coeffs, a) for p_, a in pairs]
 
 
@@ -658,12 +685,11 @@ def _assert_matches_enumeration(p_poly, a, checked=None):
     dlog agrees with the enumerated table on every residue, or on
     `checked` residues drawn at random."""
     fld = p_poly.field
-    k = fld.kernel
     units = fq._PrimePowerUnits(p_poly, a)
     m = fq.packed(units.modulus)
     gens, orders, dlog = abelian_basis(
         fq.unit_residues(units.modulus.degree, [p_poly]), 1,
-        lambda x, y: k.mod(k.mul(x, y), m))
+        lambda x, y: fld.mod(fld.mul(x, y), m))
     assert [fq.packed(g) for g in units.raw_generators] == gens
     assert list(units.raw_orders) == orders
     entries = sorted(dlog.items())
@@ -701,6 +727,17 @@ def test_structural_units_match_greedy_enumeration(q):
                     p_poly, a, None if q ** (degree * a) <= 2 ** 7 else 16)
                 a += 1
         degree += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_greedy_scan_reads_the_units_in_code_order(q):
+    # the lazy scan of the structural build yields what the eager
+    # enumeration lists
+    fld = _fields(q)
+    t, p1 = fq.monic_irreducibles(fld, 1)[:2]
+    for p_, a in ((t, 3), (p1, 2), (fq.monic_irreducibles(fld, 2)[0], 1)):
+        assert list(fq._PrimePowerUnits(p_, a)._codes()) == \
+            fq.unit_residues(a * p_.degree, [p_])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 64, 4096])
