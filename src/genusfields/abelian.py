@@ -517,37 +517,6 @@ def quotient_structure(sub):
     return _invariant_group(sub.lattice, sub.ambient.exponent_factors)
 
 
-class GeneratorPresentation:
-    """Normalization of a direct product of cyclic factors to invariant form.
-
-    Given the orders of independent generators g_1, ..., g_r (the group is
-    the internal direct product of the <g_i>), exposes the invariant-factor
-    group and the exact change of coordinates both ways.
-    """
-
-    def __init__(self, raw_orders):
-        self.raw_orders = [int(o) for o in raw_orders]
-        diag, v, w = snf_with_transform(_diagonal(self.raw_orders),
-                                        len(self.raw_orders))
-        kept = [i for i, d in enumerate(diag) if d > 1]
-        self.group = FiniteAbelianGroup(tuple(diag[i] for i in kept))
-        # raw -> canonical by V's kept columns, back by V^-1's kept rows
-        self._columns = [([row[j] for row in v], diag[j]) for j in kept]
-        self._rows = [([row[j] for j in kept], o)
-                      for row, o in zip(w, self.raw_orders)]
-
-    def to_canonical(self, raw_vec):
-        """Exponent vector on raw generators -> canonical GroupElement."""
-        return tuple(sum(map(operator.mul, raw_vec, col)) % d
-                     for col, d in self._columns)
-
-    def from_canonical(self, vec):
-        """Canonical GroupElement -> exponent vector on raw generators."""
-        vec = self.group.reduce(vec)
-        return tuple(sum(map(operator.mul, vec, row)) % o
-                     for row, o in self._rows)
-
-
 def divisors(n):
     """Sorted list of positive divisors."""
     out = [1]
@@ -699,22 +668,35 @@ class CRTUnitGroup:
     A subclass sets `modulus`, `one` and `idempotents` (per prime: 1
     modulo its power in n, 0 modulo the rest), then calls `_present` with
     each prime's generators and their orders.  Lifted by the idempotents,
-    these raw generators make the group their internal direct product,
-    which `GeneratorPresentation` brings to invariant form.  Residues
-    need only +, -, * and three-argument `pow` modulo n.
+    these raw generators make the group their internal direct product.
+    The Euclid SNF of the diagonal of their orders brings it to invariant
+    form (Cohen, GTM 138, section 2.4): V's kept columns take raw vectors
+    to canonical ones, W = V^-T's kept rows take them back, and both over
+    one prime's raw coordinates give R_p.  Residues need only +, -, * and
+    three-argument `pow` modulo n.
     """
 
     def _present(self, parts):
         """`parts`: (prime, ((generator, order), ...)) per prime of n."""
-        raw_gens, raw_orders, raw_keys = [], [], []
+        raw_gens, raw_orders, self._raw_keys = [], [], []
         for key, gens in parts:
             for g, order in gens:
                 raw_gens.append(self.lift(key, g))
                 raw_orders.append(order)
-                raw_keys.append(key)
-        self._raw_gens, self._raw_keys = raw_gens, raw_keys
-        self._presentation = GeneratorPresentation(raw_orders)
-        self.group = self._presentation.group
+                self._raw_keys.append(key)
+        diag, v, w = snf_with_transform(_diagonal(raw_orders),
+                                        len(raw_orders))
+        kept = [j for j, d in enumerate(diag) if d > 1]
+        self.group = FiniteAbelianGroup(tuple(diag[j] for j in kept))
+        self._columns = [([row[j] for row in v], diag[j]) for j in kept]
+        self._rows = [(g, [row[j] for j in kept], o)
+                      for g, row, o in zip(raw_gens, w, raw_orders)]
+        self._component_matrices = {}
+
+    def to_canonical(self, raw):
+        """Exponent vector on the raw generators -> on the canonical ones."""
+        return tuple(sum(map(operator.mul, raw, col)) % d
+                     for col, d in self._columns)
 
     def one_units(self, key, b):
         """dlog vectors generating the units = 1 modulo key^b at the prime
@@ -723,20 +705,28 @@ class CRTUnitGroup:
         zeros at the other primes' raw coordinates, before and after."""
         at = [i for i, k in enumerate(self._raw_keys) if k == key]
         local = self._level_raw(key, b) if b else _diagonal([1] * len(at))
-        return [self._presentation.to_canonical([0] * at[0] + list(r) + [0] * (
+        return [self.to_canonical([0] * at[0] + list(r) + [0] * (
             len(self._raw_keys) - 1 - at[-1])) for r in local]
 
-    def component_parts(self, key):
-        """Row t: dlog of eps_key(g_t), 1 off the prime `key`, for the
-        canonical generators g_t, without a dlog: the raw generators are
-        CRT lifts, so it is g_t with every raw coordinate outside `key`
-        set to 0, one product of V^-1's rows and V's columns over those."""
-        pres = self._presentation
-        rows = [(pres._rows[i][0], i)
-                for i, k in enumerate(self._raw_keys) if k == key]
-        return [tuple(sum(r[t] * col[i] for r, i in rows) % d
-                      for col, d in pres._columns)
-                for t in range(self.group.rank)]
+    def component_matrix(self, key):
+        """R_p for the prime `key`: a character b restricted to its
+        component and inflated back is b R_p.  With no dlog: the raw
+        generators are CRT lifts, so M[j], the dlog of the component of
+        g_j, is W's row j times V's columns over key's raw coordinates,
+        and R_p[i][j] = M[j][i] d_j / d_i mod d_j, exact because that
+        component's order divides d_j.  Cached per prime."""
+        r = self._component_matrices.get(key)
+        if r is None:
+            d = list(enumerate(self.group.invariant_factors))
+            at = [t for t, k in enumerate(self._raw_keys) if k == key]
+            m = [[sum(self._rows[t][1][j] * col[t] for t in at) % di
+                  for j, _ in d] for col, di in self._columns]
+            if any(m[i][j] * dj % di for i, di in d for j, dj in d):
+                raise RuntimeError(
+                    "component value escaped the expected order")
+            r = self._component_matrices[key] = tuple(
+                tuple(m[i][j] * dj // di % dj for j, dj in d) for i, di in d)
+        return r
 
     def lift(self, key, u):
         """Residue mod n equal to u modulo the power of the prime `key`
@@ -755,10 +745,10 @@ class CRTUnitGroup:
 
     def exp(self, vec):
         """Inverse of dlog: unit with the given exponent vector."""
-        out = self.one
-        raw = self._presentation.from_canonical(vec)
-        for g, e in zip(self._raw_gens, raw):
-            out = out * pow(g, e, self.modulus) % self.modulus
+        vec, out = self.group.reduce(vec), self.one
+        for g, row, o in self._rows:
+            out = out * pow(g, sum(map(operator.mul, vec, row)) % o,
+                            self.modulus) % self.modulus
         return out
 
 
@@ -793,7 +783,7 @@ class UnitGroup(CRTUnitGroup):
     def minus_one_log(self):
         """dlog of -1 with no dlog: phi(p^a)/2 on each odd primitive
         root; at 2^a (a >= 2) the sign 1, and 0 on 5."""
-        return self._presentation.to_canonical([
+        return self.to_canonical([
             e for p, a in self.factorization for e in (
                 ((p - 1) * p ** (a - 1) // 2,) if p > 2 else (1, 0)[:a - 1])])
 
@@ -825,7 +815,7 @@ class UnitGroup(CRTUnitGroup):
                 v = v if v % 4 == 1 else q - v
             if log is not None:
                 raw.append(log(v))
-        return self._presentation.to_canonical(raw)
+        return self.to_canonical(raw)
 
 
 @lru_cache(maxsize=512)

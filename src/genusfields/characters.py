@@ -41,20 +41,19 @@ class Component:
 class _UnitAmbient:
     """What the two ambient kinds share: a unit group `units`, an
     `abelian.CRTUnitGroup` with dlog, exp, the 1-units U^(b) of each prime
-    (`one_units`) and the CRT idempotents; the components, one per prime
-    of `factorization`; one cached matrix R_p per component for the split
-    of the dual, read off the presentation.  Each kind keeps `residues`,
-    which perfbench/tracing.py wraps, `component_ambient`, the ambient
-    of one component for the reference paths only, and the residues the
-    oracle enumerates at each place (`reduction_kernel`,
-    `infinity_residues`), which no closed form reads.  The function kind mod
-    T^n also holds the units at infinity, which the local-data path of
-    every place reads as it reads (Z/p^level)* (`genus_number`)."""
+    (`one_units`), the matrices R_p that split the dual
+    (`component_matrix`) and the CRT idempotents; the components, one per
+    prime of `factorization`.  Each kind keeps `residues`, which
+    perfbench/tracing.py wraps, `component_ambient`, the ambient of one
+    component for the reference paths only, and the residues the oracle
+    enumerates at each place (`reduction_kernel`, `infinity_residues`),
+    which no closed form reads.  The function kind mod T^n also holds the
+    units at infinity, which the local-data path of every place reads as
+    it reads (Z/p^level)* (`genus_number`)."""
 
     def __init__(self, units):
         self.units = units
         self.group = units.group
-        self._component_matrices = {}
 
     def dlog(self, u):
         return self.units.dlog(u)
@@ -80,26 +79,6 @@ class _UnitAmbient:
     def lift(self, component, u):
         """Residue agreeing with u at the component and 1 elsewhere."""
         return self.units.lift(component.key, u)
-
-    def component_matrix(self, component):
-        """R_p: the character b restricted to the component and inflated
-        back is b R_p, i.e. b composed with eps_p(u) = lift(project(u)).
-
-        Row j of M is dlog(eps_p(g_j)) on the canonical generators g_j,
-        with no dlog: one product over p's raw coordinates
-        (`CRTUnitGroup.component_parts`), and R_p[i][j] = M[j][i] d_j / d_i
-        mod d_j: exact, because eps_p(g_j) has order dividing d_j.  Cached
-        per component."""
-        r = self._component_matrices.get(component.key)
-        if r is None:
-            d = list(enumerate(self.group.invariant_factors))
-            m = self.units.component_parts(component.key)
-            if any(m[j][i] * dj % di for i, di in d for j, dj in d):
-                raise RuntimeError(
-                    "component value escaped the expected order")
-            r = self._component_matrices[component.key] = tuple(
-                tuple(m[j][i] * dj // di % dj for j, dj in d) for i, di in d)
-        return r
 
     def modulus_label(self):
         return str(self.modulus)
@@ -154,7 +133,7 @@ class FunctionFieldAmbient(_UnitAmbient):
         self.factorization = factored_n.factors
         self.field = factored_n.field
         self.modulus = factored_n.modulus
-        super().__init__(fqpoly.unit_group_mod(factored_n))
+        super().__init__(fqpoly.UnitGroupModN(factored_n))
 
     def residues(self):
         return self.units.residues()
@@ -414,7 +393,8 @@ def component_decompose(x):
 class ComponentSplit(Mapping):
     """The p-components X_p of one X inside the full dual, by prime key of
     the modulus: X_p is generated by X's lattice rows times R_p
-    (`component_matrix`), the same group as inflating {chi_p : chi in X}.
+    (`abelian.CRTUnitGroup.component_matrix`), the same group as inflating
+    {chi_p : chi in X}.
     The rows X R_p are formed once.  Each X_p is one HNF of its rows, taken
     when first read; `product`, the product of the X_p, is one HNF of all
     the rows stacked, with no HNF per component (X_p itself for one p)."""
@@ -423,7 +403,7 @@ class ComponentSplit(Mapping):
         amb, self._rows, self._parts = x.ambient, {}, {}
         self.group, d = amb.group, amb.group.invariant_factors
         for component in amb.components():
-            r = amb.component_matrix(component)
+            r = amb.units.component_matrix(component.key)
             self._rows[component.key] = [
                 [sum(b * r[i][j] for i, b in enumerate(row)) % dj
                  for j, dj in enumerate(d)] for row in x.dual.lattice]

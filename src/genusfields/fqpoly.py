@@ -133,6 +133,23 @@ class FqField:
                | (((x >> w) & even) * magic & high) >> shift << w)
         return x - self.p * quo
 
+    def reduced_set(self, values, degree):
+        """The set of `reduce(x)` over `values`, unreduced integers of
+        polynomials of degree < `degree`, as byte strings: the values are
+        laid side by side in slices of whole coefficients and reduced a
+        batch at a time, each batch as wide as the masks, so that they do
+        not grow."""
+        width = degree * self.group // 8
+        per = max(self._bits // (8 * width), 1)
+        out = set()
+        for i in range(0, len(values), per):
+            batch = values[i:i + per]
+            flat = self.reduce(int.from_bytes(b"".join(
+                [x.to_bytes(width, "little") for x in batch]), "little")
+            ).to_bytes(width * len(batch), "little")
+            out.update(flat[j:j + width] for j in range(0, len(flat), width))
+        return out
+
     def pack(self, coeffs):
         """The kernel integer of field elements, low degree first."""
         p = self.p
@@ -681,6 +698,10 @@ class _PrimePowerUnits:
             _times(self._coordinates(x), self._to_raw), self.raw_orders))
 
 
+# one build per prime power, shared by every modulus it divides
+_prime_power_units = lru_cache(maxsize=256)(_PrimePowerUnits)
+
+
 def _times(vec, matrix):
     """The integer row vector vec times matrix."""
     return [sum(map(operator.mul, vec, col)) for col in zip(*matrix)]
@@ -730,7 +751,7 @@ class UnitGroupModN(abelian.CRTUnitGroup):
 
     def dlog(self, residue):
         """Exponent vector of a unit on the canonical generators."""
-        return self._presentation.to_canonical(
+        return self.to_canonical(
             [e for comp in self.crt_components for e in comp.dlog_raw(residue)])
 
     def _level_raw(self, key, b):
@@ -753,13 +774,3 @@ def crt_idempotents(factored_n):
         inv = fld.pow(cof, qd ** a - qd ** (a - 1) - 1, pa)  # |units| - 1
         out[p_] = from_packed(fld, fld.mod(fld.mul(cof, inv), n))
     return out
-
-
-@lru_cache(maxsize=256)
-def _prime_power_units(p_poly, a):
-    return _PrimePowerUnits(p_poly, a)
-
-
-def unit_group_mod(factored_n):
-    """(F_q[T]/<N>)* with structure, dlog, and CRT components."""
-    return UnitGroupModN(factored_n)

@@ -178,7 +178,7 @@ def idele_quotient_check(factored_n):
         partial = [x ^ y for x in partial for y in block] if two else [
             x + y for x in partial for y in block]
     expected = factored_n.unit_order()
-    distinct = set(partial) if two else _reduced_slices(fld, n, partial)
+    distinct = set(partial) if two else fld.reduced_set(partial, n.degree)
     if len(partial) != expected or len(distinct) != expected:
         return False
 
@@ -200,23 +200,6 @@ def idele_quotient_check(factored_n):
         if fld.mod(fld.mul(combine(x), combine(y)), n_k) != direct:
             return False
     return True
-
-
-def _reduced_slices(fld, n, values):
-    """The set of `fld.reduce(x)` over `values`, unreduced kernel integers
-    of polynomials of degree < deg n, as byte strings: the values are laid
-    side by side in slices of whole slots and reduced a batch at a time,
-    each batch as wide as the kernel's masks, so that they do not grow."""
-    width = n.degree * fld.group // 8
-    per = max(fld._bits // (8 * width), 1)
-    out = set()
-    for i in range(0, len(values), per):
-        batch = values[i:i + per]
-        flat = fld.reduce(int.from_bytes(b"".join(
-            [x.to_bytes(width, "little") for x in batch]), "little")
-        ).to_bytes(width * len(batch), "little")
-        out.update(flat[j:j + width] for j in range(0, len(flat), width))
-    return out
 
 
 def all_factored_moduli(fld, max_size):

@@ -14,7 +14,9 @@ import subprocess
 import sys
 import time
 
-from genusfields import fqpoly, selftest
+import pytest
+
+from genusfields import characters, fqpoly, genus_number, selftest
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 GENUSCTL = [sys.executable, "-m", "genusfields.cli"]
@@ -102,3 +104,20 @@ def test_criterion_10_cli_determinism(capsys):
     assert identical, "selftest output differs between runs"
     assert suites == set(range(1, 10)), f"suites run: {sorted(suites)}"
     assert reports_identical, "descriptor report differs between runs"
+
+
+def test_a_failed_check_gives_its_fail_line(monkeypatch):
+    # a wrong closed form: the full dual as every extended genus group
+    monkeypatch.setattr(genus_number, "extended_genus_characters",
+                        lambda x: characters.full_dual(x.ambient))
+    assert selftest.criterion_oracle_equivalence(4).line() == (
+        "FAIL criterion 1 (oracle equivalence): mismatch at modulus 3")
+
+
+def test_other_errors_in_a_check_propagate(monkeypatch):
+    def broken(x):
+        raise RuntimeError("broken closed form")
+
+    monkeypatch.setattr(genus_number, "extended_genus_characters", broken)
+    with pytest.raises(RuntimeError, match="broken closed form"):
+        selftest.criterion_oracle_equivalence(4)

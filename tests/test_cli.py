@@ -507,18 +507,18 @@ def test_report_splits_x_once_without_restriction(monkeypatch):
     # made 18 restrict_to_component calls per report
     calls = {"restrict": 0, "matrix": 0}
     restrict = characters.restrict_to_component
-    matrix = characters.NumericAmbient.component_matrix
+    matrix = abelian.CRTUnitGroup.component_matrix
 
     def counted_restrict(chi, component):
         calls["restrict"] += 1
         return restrict(chi, component)
 
-    def counted_matrix(self, component):
+    def counted_matrix(self, key):
         calls["matrix"] += 1
-        return matrix(self, component)
+        return matrix(self, key)
 
     monkeypatch.setattr(characters, "restrict_to_component", counted_restrict)
-    monkeypatch.setattr(characters.NumericAmbient, "component_matrix",
+    monkeypatch.setattr(abelian.CRTUnitGroup, "component_matrix",
                         counted_matrix)
     characters.component_split.cache_clear()
     code, _ = run_cli(["number", "--spec",
@@ -643,12 +643,14 @@ def test_report_hnfs_and_row_products(monkeypatch, command, name):
     # are several, and three for the genus group: the span of the units at
     # infinity, the plus part's pairing kernel and the join with X
     matrices = []
-    for cls in (characters.NumericAmbient, characters.FunctionFieldAmbient):
-        def counted_matrix(self, component, matrix=cls.component_matrix):
-            matrices.append(component)
-            return matrix(self, component)
+    matrix = abelian.CRTUnitGroup.component_matrix
 
-        monkeypatch.setattr(cls, "component_matrix", counted_matrix)
+    def counted_matrix(self, key):
+        matrices.append(key)
+        return matrix(self, key)
+
+    monkeypatch.setattr(abelian.CRTUnitGroup, "component_matrix",
+                        counted_matrix)
     reports = _hnfs_under(monkeypatch, "build_report")
     for cache in (characters.numeric_ambient, characters._ff_ambient_cached,
                   characters.component_split):

@@ -551,15 +551,15 @@ def _equal_degree_product(fld, d):
 
 class TestUnitGroups:
     def test_residue_field_cyclic(self):
-        u = fq.unit_group_mod(fq.factor_modulus(fq.poly(F2, (1, 1, 1))))
+        u = fq.UnitGroupModN(fq.factor_modulus(fq.poly(F2, (1, 1, 1))))
         assert u.group.invariant_factors == (3,)
 
     def test_crt_split(self):
-        u = fq.unit_group_mod(fq.factor_modulus(fq.poly(F3, (0, 1, 1))))
+        u = fq.UnitGroupModN(fq.factor_modulus(fq.poly(F3, (0, 1, 1))))
         assert u.group.invariant_factors == (2, 2)
 
     def test_wild_part(self):
-        u = fq.unit_group_mod(fq.factor_modulus(fq.poly(F2, (0, 0, 1))))
+        u = fq.UnitGroupModN(fq.factor_modulus(fq.poly(F2, (0, 0, 1))))
         assert u.order == 2
         assert {str(r) for r in u.residues()} == {"1", "T + 1"}
 
@@ -574,7 +574,7 @@ class TestUnitGroups:
     ])
     def test_round_trip_and_order_formula(self, fld, coeffs):
         fm = fq.factor_modulus(fq.poly(fld, coeffs))
-        u = fq.unit_group_mod(fm)
+        u = fq.UnitGroupModN(fm)
         count = 0
         for r in u.residues():
             assert u.exp(u.dlog(r)) == r
@@ -589,12 +589,12 @@ class TestUnitGroups:
             deg = rng.randint(1, 9 if fld is F2 else 5)
             f = fq.poly(fld, [rng.randrange(fld.q) for _ in range(deg)] + [1])
             fm = fq.factor_modulus(f)
-            u = fq.unit_group_mod(fm)
+            u = fq.UnitGroupModN(fm)
             assert u.order == fm.unit_order()
 
     def test_dlog_homomorphism(self):
         fm = fq.factor_modulus(fq.poly(F3, (0, 1, 0, 1)))
-        u = fq.unit_group_mod(fm)
+        u = fq.UnitGroupModN(fm)
         rs = list(u.residues())
         rng = random.Random(2)
         for _ in range(80):
@@ -604,7 +604,7 @@ class TestUnitGroups:
 
     def test_generators_independent(self):
         fm = fq.factor_modulus(fq.poly(F2, (0, 1, 1, 0, 1, 1)))
-        u = fq.unit_group_mod(fm)
+        u = fq.UnitGroupModN(fm)
         for i, g in enumerate(u.generators):
             vec = u.dlog(g)
             assert vec == tuple(1 if j == i else 0

@@ -364,7 +364,7 @@ _T2_25 = fqpoly.poly(F2, (0,) * 25 + (1,))
      abelian.ORDER_BOUND),
     (lambda: fqpoly.factor_modulus(_T2_25), 2 ** 25, 2 ** 24),
     (lambda: fqpoly._PrimePowerUnits(_T2, 21), 2 ** 21, 2 ** 20),
-    (lambda: fqpoly.unit_group_mod(fqpoly.factored(F2, [(_T2, 21)])),
+    (lambda: fqpoly.UnitGroupModN(fqpoly.factored(F2, [(_T2, 21)])),
      2 ** 21, 2 ** 20),
     (lambda: gf.torsion_order_check(_T2_25), 2 ** 25, 2 ** 24),
     (lambda: gf.idele_quotient_check(fqpoly.factored(F2, [(_T2, 14)])),
