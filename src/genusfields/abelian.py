@@ -525,19 +525,39 @@ def divisors(n):
     return sorted(out)
 
 
-def greedy_basis(group, candidates, power, mul):
+def greedy_basis(group, elements, vector, power, mul):
     """Independent generators of `group`: per round, the first of
-    `candidates()` ((element, vector) pairs) of order E modulo the span of
-    the earlier picks, E the quotient's exponent, minus (v_i / E) times
-    pick i, v the coordinates of E times it (each v_i divisible by E, by
-    maximality).  Returns the picks, their orders, and the matrix from
-    `group` to coordinates on them."""
+    `elements()` of order E modulo the span of the earlier picks, E the
+    quotient's exponent, minus (v_i / E) times pick i, v the coordinates of
+    E times it (each v_i divisible by E, by maximality).  `vector(x)`, x's
+    vector in `group`, is taken at most once per x, and only for an x with
+    no x^c = 1, c = E/l for a prime l | E: such an x cannot have order E.
+    That c is kept, and x is skipped with no power in every later round
+    whose E does not divide c.  Returns the picks, their orders, and the
+    matrix from `group` to coordinates on them."""
     picks, orders, vecs = [], [], []
+    vectors, killed, one = {}, {}, None  # x -> vector(x); x -> c, x^c = 1
     while prod(orders, start=1) < group.order:
         span = subgroup_from_generators(group, vecs)
         top = quotient_structure(span).exponent
-        element, vec = next((x, v) for x, v in candidates() if not any(
-            span.contains(group.scale(v, top // l)) for l, _ in factorize(top)))
+        cofactors = [top // l for l, _ in factorize(top)]
+        for element in elements():
+            if element not in vectors:
+                if killed.get(element, 0) % top:
+                    continue
+                if one is None:
+                    one = power(element, 0)
+                c = next((c for c in cofactors if power(element, c) == one),
+                         None)
+                if c is not None:
+                    killed[element] = c
+                    continue
+                vectors[element] = vector(element)
+            vec = vectors[element]
+            if not any(span.contains(group.scale(vec, c)) for c in cofactors):
+                break
+        else:
+            raise ValueError(f"no element of order {top} modulo the span")
         coords = _span_coordinates(group, vecs, orders, group.scale(vec, top))
         if any(c % top for c in coords):
             raise ValueError("generator extraction lost independence")

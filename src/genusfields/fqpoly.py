@@ -614,36 +614,47 @@ def _check_enumeration_bound(modulus):
 
 
 class _PrimePowerUnits:
-    """Units of F_q[T]/<P^a> by structure, C_(q^d - 1) x U^(1): a log by
-    `abelian.CyclicLog` and base-p digits on the 1-units 1 + c T^j P^k,
-    whose p-th power relations give the structure.  The raw generators
-    are those the greedy scan of the residues in code order picks
-    (`abelian.greedy_basis`), and one matrix takes (log, digits) to
-    coordinates on them."""
+    """Units of F_q[T]/<P^a> by structure, C_(q^d - 1) x U^(1): the
+    coordinates of a unit x are the log of x mod P (`abelian.CyclicLog` in
+    (F_q[T]/P)*, onto which reduction maps the Teichmueller subgroup
+    isomorphically) and base-p digits on the 1-units 1 + c T^j P^k, whose
+    p-th power relations give the structure.  The raw generators are those
+    the greedy scan of the residues in code order picks
+    (`abelian.greedy_basis`, which skips a residue of too small an order
+    before its coordinates are taken), and one matrix takes (log, digits)
+    to coordinates on them."""
 
     def __init__(self, p_poly, a):
         fld = self.field = p_poly.field
-        self.prime, self.modulus = p_poly, p_poly ** a
+        pm = packed(p_poly)
+        powers = list(itertools.accumulate([pm] * a, fld.mul))  # P^1 .. P^a
+        self.prime, self.modulus = p_poly, from_packed(fld, powers[-1])
         _check_enumeration_bound(self.modulus)
-        m, pm = packed(self.modulus), packed(p_poly)
+        m = powers[-1]
         self._pow = lambda x, e: fld.pow(x, e, m)
         self._mul = lambda x, y: fld.mod(fld.mul(x, y), m)
         cyc = self._cyc = fld.q ** p_poly.degree - 1
-        wild = self._wild = (cyc + 1) ** (a - 1)
+        self._unwild = pow(cyc, -1, (cyc + 1) ** (a - 1))  # mod |U^(1)|
+        # the first unit in code order with a primitive reduction mod P; it
+        # has degree < deg P, as all residues mod P come first
         root = next(x for x in self._codes() if all(
             fld.pow(x, cyc // l, pm) != 1 for l, _ in abelian.factorize(cyc)))
-        self._log = abelian.CyclicLog(  # root^e, e = 1 mod cyc, 0 mod wild
-            self._pow(root, wild * pow(wild, -1, cyc)), cyc, self._pow,
-            self._mul)
-        gens = [fld.add(1, fld.mul(x, packed(p_poly ** j)))
-                for j in range(1, a) for x in fld.monomials(p_poly.degree)]
+        self._log = abelian.CyclicLog(
+            root, cyc, lambda x, e: fld.pow(x, e, pm),
+            lambda x, y: fld.mod(fld.mul(x, y), pm))
+        gens = [fld.add(1, fld.mul(x, pj)) for pj in powers[:-1]
+                for x in fld.monomials(p_poly.degree)]
         w = fld.s * p_poly.degree
+        # (1 + y P^k)^(p^t) = 1 + y^(p^t) P^(k p^t) is 1 once k p^t >= a,
+        # so a generator of layer k has its (p^t - 1)-th power as inverse
+        exponents = [next(fld.p ** t for t in itertools.count()
+                          if k * fld.p ** t >= a) for k in range(1, a)]
         # per layer: P^k and the powers 0 .. p-1 of its generators' inverses
         inverses = [list(itertools.accumulate(
-            [self._pow(g, wild - 1)] * (fld.p - 1), self._mul, initial=1))
-            for g in gens]
-        self._layers = [(packed(p_poly ** j), inverses[w * (j - 1):w * j])
-                        for j in range(1, a)]
+            [self._pow(g, exponents[i // w] - 1)] * (fld.p - 1), self._mul,
+            initial=1)) for i, g in enumerate(gens)]
+        self._layers = [(pj, inverses[w * j:w * (j + 1)])
+                        for j, pj in enumerate(powers[:-1])]
         diag, v, _ = abelian.snf_with_transform(
             [[cyc] + [0] * len(gens)] + [
                 [0] + [fld.p * (i == j) - e for j, e in
@@ -653,8 +664,9 @@ class _PrimePowerUnits:
         group = abelian.FiniteAbelianGroup(tuple(diag[j] for j in kept))
         v = [[row[j] for j in kept] for row in v]
         gens, self.raw_orders, to_picks = abelian.greedy_basis(
-            group, lambda: ((x, group.reduce(_times(self._coordinates(x), v)))
-                            for x in self._codes()), self._pow, self._mul)
+            group, self._codes,
+            lambda x: group.reduce(_times(self._coordinates(x), v)),
+            self._pow, self._mul)
         self.raw_generators = tuple(from_packed(fld, g) for g in gens)
         self._to_raw = [_times(row, to_picks) for row in v]
 
@@ -675,19 +687,21 @@ class _PrimePowerUnits:
             slots = k._slots(k.mod(k.divmod(k.sub(x, 1), pk)[0], pm))
             for i, row in enumerate(powers):
                 slot = k.stride * (i // s) + i % s
-                out.append(slots[slot] if slot < len(slots) else 0)
-                x = self._mul(x, row[out[-1]])
+                d = slots[slot] if slot < len(slots) else 0
+                out.append(d)
+                if d:
+                    x = self._mul(x, row[d])
         if x != 1:
             raise RuntimeError("1-unit digits did not reach 1")
         return out
 
     def _coordinates(self, x):
-        """(log, digits) of the unit x: x^wild is the log's base to the
-        power wild log, and x^cyc has cyc times x's 1-unit digits."""
-        cyc, wild = self._cyc, self._wild
-        t = self._log(self._pow(x, wild)) * pow(wild, -1, cyc) if cyc > 1 else 0
-        return [t] + [d * pow(cyc, -1, wild) for d in (
-            self._digits(self._pow(x, cyc)) if self._layers else ())]
+        """(log, digits) of the unit x: the log of x mod P (the log's
+        powers reduce x mod P), and x^cyc has cyc times x's 1-unit
+        digits."""
+        t = self._log(x) if self._cyc > 1 else 0
+        return [t] + [d * self._unwild for d in (
+            self._digits(self._pow(x, self._cyc)) if self._layers else ())]
 
     def dlog_raw(self, residue):
         k = self.field

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 from . import abelian, characters, fqpoly, genus_number
@@ -84,12 +84,14 @@ def _same(a, b):
         raise AmbientMismatchError("operators over different fields")
 
 
+@lru_cache(maxsize=8)
 def carlitz_operator(m):
     """C_M for M in F_q[T]: F_q-linear in M and multiplicative under
     composition, generated from C_T(x) = Tx + x^q.
 
     Coefficient j of C_(T^(i+1)) = C_T o C_(T^i) is T a_ij + a_i,j-1(T^q),
-    on kernel integers."""
+    on kernel integers.  Memoised per M, so `torsion_order_check` reads
+    the operator its caller has just built."""
     fld = m.field
     row = [1]
     out = [0] * (m.degree + 1)
@@ -108,9 +110,10 @@ def carlitz_operator(m):
 def torsion_order_check(n):
     """Number of N-torsion points of the Carlitz module: q^(deg N).
 
-    Verified from the expanded operator: the x^1 coefficient equals N
-    itself (so the torsion polynomial is separable for N != 0) and the
-    top term sits at x^(q^(deg N)).
+    Verified from the expanded operator, `carlitz_operator(n)` (built once
+    per N and memoised): the x^1 coefficient equals N itself (so the
+    torsion polynomial is separable for N != 0) and the top term sits at
+    x^(q^(deg N)).
     """
     if n.is_zero:
         raise SchemaError("torsion of the zero polynomial is undefined")

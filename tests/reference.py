@@ -4,7 +4,10 @@ No report path uses these: each one recomputes, the plain way, a value
 that reached code must agree with.
 """
 
-from genusfields import characters, fqpoly
+from functools import cached_property
+from math import prod
+
+from genusfields import abelian, characters, fqpoly
 
 
 def trivial_group(ambient):
@@ -99,3 +102,58 @@ def carlitz_value(op, x):
         if not a.is_zero:
             out = out + a * power
     return out
+
+
+def scan_basis(group, elements, vector, power, mul):
+    """`abelian.greedy_basis` by the plain scan: every round reads
+    `elements()` from the first again and takes the vector of each element
+    it reads, whatever its order."""
+    picks, orders, vecs = [], [], []
+    while prod(orders, start=1) < group.order:
+        span = abelian.subgroup_from_generators(group, vecs)
+        top = abelian.quotient_structure(span).exponent
+        element, vec = next((x, v) for x, v in (
+            (x, vector(x)) for x in elements()) if not any(
+            span.contains(group.scale(v, top // l))
+            for l, _ in abelian.factorize(top)))
+        coords = abelian._span_coordinates(group, vecs, orders,
+                                           group.scale(vec, top))
+        assert not any(c % top for c in coords)
+        for w, g, c, o in zip(vecs, picks, coords, orders):
+            vec = group.add(vec, group.scale(w, -(c // top) % o))
+            element = mul(element, power(g, -(c // top) % o))
+        picks.append(element)
+        orders.append(top)
+        vecs.append(vec)
+    return picks, orders, [abelian._span_coordinates(group, vecs, orders, e)
+                           for e in abelian._diagonal([1] * group.rank)]
+
+
+class ScanUnits(fqpoly._PrimePowerUnits):
+    """(F_q[T]/P^a)* with its picks made by `scan_basis`, and the tame
+    coordinate of x the log of x^wild in (F_q[T]/P^a)*, to the base
+    root^(wild (wild^-1 mod cyc)), times wild^-1 mod cyc."""
+
+    def __init__(self, p_poly, a):
+        self._wild = (p_poly.field.q ** p_poly.degree) ** (a - 1)
+        fast, abelian.greedy_basis = abelian.greedy_basis, scan_basis
+        try:
+            super().__init__(p_poly, a)
+        finally:
+            abelian.greedy_basis = fast
+
+    @cached_property
+    def _wild_log(self):
+        fld, pm, cyc, wild = (self.field, fqpoly.packed(self.prime),
+                              self._cyc, self._wild)
+        root = next(x for x in self._codes() if all(
+            fld.pow(x, cyc // l, pm) != 1 for l, _ in abelian.factorize(cyc)))
+        return abelian.CyclicLog(self._pow(root, wild * pow(wild, -1, cyc)),
+                                 cyc, self._pow, self._mul)
+
+    def _coordinates(self, x):
+        cyc, wild = self._cyc, self._wild
+        t = self._wild_log(self._pow(x, wild)) * pow(wild, -1, cyc) \
+            if cyc > 1 else 0
+        return [t] + [d * pow(cyc, -1, wild) for d in (
+            self._digits(self._pow(x, cyc)) if self._layers else ())]

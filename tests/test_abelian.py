@@ -358,7 +358,7 @@ def subgroup_operations(g, vecs):
         "intersect": lambda: ab.intersect(a, b),
         "pairing_kernel": lambda: ab.pairing_kernel(a, vecs[2:]),
         "_span_coordinates": lambda: ab.greedy_basis(
-            g, lambda: ((v, v) for v in g.elements()), g.scale, g.add),
+            g, g.elements, lambda v: v, g.scale, g.add),
     }
 
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from genusfields import fqpoly as fq
 from genusfields.errors import BoundExceededError, SchemaError
-from reference import (code, poly_from_code, poly_gcd, poly_value,
-                       school_field_add, school_field_mul, school_field_neg)
+from reference import (ScanUnits, code, poly_from_code, poly_gcd,
+                       poly_value, school_field_add, school_field_mul,
+                       school_field_neg)
 
 F2 = fq.fq_field(2)
 F3 = fq.fq_field(3)
@@ -750,3 +751,50 @@ def test_infinity_units_match_greedy_enumeration(q):
         if q ** n > 2 ** 10:
             _assert_matches_enumeration(fq.variable(fld), n)
         n += 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_picks_match_the_plain_scan(q):
+    # every P^a of size q^(deg P^a) <= 2^10: the same picks, orders and
+    # matrix as the scan that takes every residue's coordinates each round
+    # and the tame log of x^wild modulo P^a.  The dlogs of every unit where
+    # a >= 2 or the size is <= 2^7, and of 16 seeded units of the other
+    # primes, whose tame logs are the same computation in both builds.
+    fld = _fields(q)
+    rng = random.Random(q)
+    degree = 1
+    while q ** degree <= 2 ** 10:
+        for p_poly in fq.monic_irreducibles(fld, degree):
+            a = 1
+            while q ** (degree * a) <= 2 ** 10:
+                units, scan = fq._PrimePowerUnits(p_poly, a), \
+                    ScanUnits(p_poly, a)
+                assert units.raw_generators == scan.raw_generators
+                assert units.raw_orders == scan.raw_orders
+                assert units._to_raw == scan._to_raw
+                residues = fq.unit_residues(degree * a, [p_poly])
+                if a == 1 and q ** degree > 2 ** 7:
+                    residues = rng.sample(residues, 16)
+                for x in residues:
+                    r = fq.from_packed(fld, x)
+                    assert units.dlog_raw(r) == scan.dlog_raw(r)
+                a += 1
+        degree += 1
+
+
+@pytest.mark.parametrize("p, s, a, muls, mods", [
+    (2, 2, 3, 126, 158), (2, 1, 7, 153, 232)])
+def test_cold_build_kernel_calls(monkeypatch, p, s, a, muls, mods):
+    # the products and remainders of one build on a fresh field, with no
+    # divisor or Barrett entry cached; with the tame log taken modulo P^a
+    # and every residue's vector taken again each round, the build made
+    # 263 and 317 for F_4[T]/T^3, and 349 and 409 for F_2[T]/T^7
+    t = fq.variable(fq.FqField(p, s))
+    counts = {"mul": 0, "mod": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _real=getattr(fq.FqField, name)):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(fq.FqField, name, counted)
+    fq._PrimePowerUnits(t, a)
+    assert counts["mul"] <= muls and counts["mod"] <= mods
