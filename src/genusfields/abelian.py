@@ -23,7 +23,9 @@ with.
 Also provides the unit groups (Z/nZ)* with exact discrete logarithms,
 which is the finite-level model used everywhere a p-adic unit group
 appears in the degree formulas, and their CRT construction
-(`CRTUnitGroup`), which (F_q[T]/<N>)* in `fqpoly` shares.
+(`CRTUnitGroup`), which (F_q[T]/<N>)* in `fqpoly` shares.  A unit group
+is the ambient of the characters modulo n, one object per modulus
+(`unit_group`).
 """
 
 from __future__ import annotations
@@ -681,19 +683,39 @@ def _prime_power_generators(p, a):
     return [(_primitive_root(p, a), (p - 1) * p ** (a - 1))]
 
 
+@dataclass(frozen=True)
+class Component:
+    """One prime-power block key^exponent of a modulus under CRT."""
+
+    key: object          # the prime: an integer p or a monic irreducible
+    exponent: int
+
+    @property
+    def modulus(self):
+        return self.key ** self.exponent
+
+
 class CRTUnitGroup:
     """What (Z/nZ)* and (F_q[T]/<N>)* share: the units modulo n, built
     by CRT from generators of the units modulo each prime power of n.
+    It is the ambient of the characters modulo n (`characters`), one
+    object per modulus, equal by kind and modulus.
 
-    A subclass sets `modulus`, `one` and `idempotents` (per prime: 1
-    modulo its power in n, 0 modulo the rest), then calls `_present` with
-    each prime's generators and their orders.  Lifted by the idempotents,
+    A subclass sets `kind`, `modulus`, `one`, `factorization` (its
+    (prime, exponent) pairs) and `idempotents` (per prime: 1 modulo its
+    power in n, 0 modulo the rest), then calls `_present` with each
+    prime's generators and their orders.  Lifted by the idempotents,
     these raw generators make the group their internal direct product.
     The Euclid SNF of the diagonal of their orders brings it to invariant
     form (Cohen, GTM 138, section 2.4): V's kept columns take raw vectors
     to canonical ones, W = V^-T's kept rows take them back, and both over
     one prime's raw coordinates give R_p.  Residues need only +, -, * and
     three-argument `pow` modulo n.
+
+    A subclass also gives the residues the oracle enumerates at each
+    place (`reduction_kernel`, `infinity_residues`), which no closed form
+    reads, and the unit group of one component (`component_ambient`),
+    for the reference paths only.
     """
 
     def _present(self, parts):
@@ -754,6 +776,29 @@ class CRTUnitGroup:
         return (self.one + (u - self.one) * self.idempotents[key]) \
             % self.modulus
 
+    def project(self, component, u):
+        return u % component.modulus
+
+    def components(self):
+        return tuple(Component(key, a) for key, a in self.factorization)
+
+    @cached_property
+    def infinity(self):
+        """The units at infinity, once per modulus: the dlog vectors of
+        generators of their image (`infinity_logs`, one per kind) and the
+        order of the group they span."""
+        vecs = self.infinity_logs()
+        return vecs, subgroup_from_generators(self.group, vecs).order
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.modulus))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.modulus})"
+
     @property
     def order(self):
         return self.group.order
@@ -777,6 +822,8 @@ class UnitGroup(CRTUnitGroup):
     a `CyclicLog` on the primitive root of each odd p^a, and at 2^a the
     sign, then a `CyclicLog` on 5 (a unit mod 2^a is +-5^k), each built
     on the first dlog."""
+
+    kind = "number"
 
     def __init__(self, n):
         if not 2 <= n <= UNIT_GROUP_BOUND:
@@ -810,6 +857,23 @@ class UnitGroup(CRTUnitGroup):
     def residues(self):
         n = self.modulus
         return (u for u in range(1, n) if gcd(u, n) == 1)
+
+    def infinity_logs(self):
+        """The image of the units at the infinite prime is generated by
+        -1, whose class is complex conjugation; its dlog is read off the
+        presentation."""
+        return (self.minus_one_log,)
+
+    def component_ambient(self, component):
+        return unit_group(component.modulus)
+
+    def reduction_kernel(self, m):
+        """Units congruent to 1 modulo the divisor m."""
+        return [u for u in self.residues() if u % m == 1 % m]
+
+    def infinity_residues(self):
+        """The unit at infinity other than 1, as a residue: n - 1."""
+        return [self.modulus - 1]
 
     def _level_raw(self, p, b):
         """U^(b), b >= 1, of (Z/p^a)* on its raw generators: the power

@@ -6,11 +6,11 @@ zeta_e^(sum b_i v_i e/d_i), with e the exponent of the unit group.  All
 values are exponents of an abstract root of unity, never floats, so
 equality is exact.
 
-The two ambient kinds (integer modulus, polynomial modulus) expose the
-same surface: a unit group with dlog/exp and the CRT components, one per
-prime.  The unit group (`abelian.CRTUnitGroup`) gives the 1-units U^(b)
-of each prime as dlog vectors read off its presentation, from which
-conductors are read one prime at a time.
+The ambient of a character is the unit group of its modulus, an integer
+or a polynomial (`abelian.CRTUnitGroup`), with dlog/exp and the CRT
+components, one per prime.  It gives the 1-units U^(b) of each prime as
+dlog vectors read off its presentation, from which conductors are read
+one prime at a time.
 """
 
 from __future__ import annotations
@@ -24,153 +24,16 @@ from .errors import AmbientMismatchError, SchemaError
 
 
 # ---------------------------------------------------------------------------
-# Ambient unit groups
+# Ambients
 
-@dataclass(frozen=True)
-class Component:
-    """One prime-power block key^exponent of an ambient modulus under CRT."""
-
-    key: object          # the prime: an integer p or a monic irreducible
-    exponent: int
-
-    @property
-    def modulus(self):
-        return self.key ** self.exponent
-
-
-class _UnitAmbient:
-    """What the two ambient kinds share: a unit group `units`, an
-    `abelian.CRTUnitGroup` with dlog, exp, the 1-units U^(b) of each prime
-    (`one_units`), the matrices R_p that split the dual
-    (`component_matrix`) and the CRT idempotents; the components, one per
-    prime of `factorization`.  Each kind keeps `residues`, which
-    perfbench/tracing.py wraps, `component_ambient`, the ambient of one
-    component for the reference paths only, and the residues the oracle
-    enumerates at each place (`reduction_kernel`, `infinity_residues`),
-    which no closed form reads.  The function kind mod T^n also holds the
-    units at infinity, which the local-data path of every place reads as
-    it reads (Z/p^level)* (`genus_number`)."""
-
-    def __init__(self, units):
-        self.units = units
-        self.group = units.group
-
-    def dlog(self, u):
-        return self.units.dlog(u)
-
-    @property
-    def generators(self):
-        return self.units.generators
-
-    def components(self):
-        return tuple(Component(key, a) for key, a in self.factorization)
-
-    @cached_property
-    def infinity(self):
-        """The units at infinity, once per ambient: the dlog vectors of
-        generators of their image (`infinity_logs`, one per kind) and the
-        order of the group they span."""
-        vecs = self.infinity_logs()
-        return vecs, abelian.subgroup_from_generators(self.group, vecs).order
-
-    def project(self, component, u):
-        return u % component.modulus
-
-    def lift(self, component, u):
-        """Residue agreeing with u at the component and 1 elsewhere."""
-        return self.units.lift(component.key, u)
-
-    def modulus_label(self):
-        return str(self.modulus)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.modulus))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.modulus})"
-
-
-class NumericAmbient(_UnitAmbient):
-    """The unit group (Z/nZ)* with CRT components and their 1-units."""
-
-    kind = "number"
-
-    def __init__(self, n):
-        self.modulus = n
-        super().__init__(abelian.unit_group(n))
-        self.factorization = self.units.factorization
-
-    def residues(self):
-        return self.units.residues()
-
-    def infinity_logs(self):
-        """The image of the units at the infinite prime is generated by
-        -1, whose class is complex conjugation; its dlog is read off the
-        presentation."""
-        return (self.units.minus_one_log,)
-
-    def component_ambient(self, component):
-        return numeric_ambient(component.modulus)
-
-    def reduction_kernel(self, m):
-        """Units congruent to 1 modulo the divisor m."""
-        return [u for u in self.residues() if u % m == 1 % m]
-
-    def infinity_residues(self):
-        """The unit at infinity other than 1, as a residue: n - 1."""
-        return [self.modulus - 1]
-
-
-class FunctionFieldAmbient(_UnitAmbient):
-    """The unit group (F_q[T]/<N>)* with the same surface as the numeric one."""
-
-    kind = "function"
-
-    def __init__(self, factored_n):
-        self.factorization = factored_n.factors
-        self.field = factored_n.field
-        self.modulus = factored_n.modulus
-        super().__init__(fqpoly.UnitGroupModN(factored_n))
-
-    def residues(self):
-        return self.units.residues()
-
-    def component_ambient(self, component):
-        return ff_ambient(fqpoly.factored(
-            self.field, [(component.key, component.exponent)]))
-
-    def infinity_logs(self):
-        """The image of the units at the infinite prime is the constants
-        F_q*: the dlog of their least generator (one column in
-        `abelian.pairing_kernel` instead of q - 1)."""
-        fld = self.field
-        primes = [l for l, _ in abelian.factorize(fld.q - 1)]
-        one = fqpoly.one(fld)
-        c = next(c for c in (fqpoly.poly(fld, (a,)) for a in range(1, fld.q))
-                 if all(c ** ((fld.q - 1) // l) != one for l in primes))
-        return (self.dlog(c),)
-
-    def reduction_kernel(self, m):
-        """Units congruent to 1 modulo the monic divisor m."""
-        return [u for u in self.residues()
-                if ((u - fqpoly.one(self.field)) % m).is_zero]
-
-    def infinity_residues(self):
-        """Every unit at infinity, as a residue: the constants 1..q - 1."""
-        return [fqpoly.poly(self.field, (c,)) for c in range(1, self.field.q)]
-
-
-@lru_cache(maxsize=512)
-def numeric_ambient(n):
-    return NumericAmbient(n)
-
-
-# one ambient per modulus: `fqpoly.factored` puts the factors in code
-# order, so the factorization is the same key however it was built
-ff_ambient = _ff_ambient_cached = lru_cache(maxsize=512)(FunctionFieldAmbient)
+# The ambient of a character is the unit group of its modulus, one object
+# per modulus from one cache: `abelian.unit_group` (`abelian.UnitGroup`)
+# over Q, `fqpoly.unit_group` (`fqpoly.UnitGroupModN`) over F_q(T).  The
+# benchmark in perfbench/ reads them under these names.
+NumericAmbient = abelian.UnitGroup
+FunctionFieldAmbient = fqpoly.UnitGroupModN
+numeric_ambient = abelian.unit_group
+ff_ambient = _ff_ambient_cached = fqpoly.unit_group
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +89,7 @@ def restrict_to_component(chi, component):
     e_sub = sub.group.exponent
     values = []
     for g in sub.generators:
-        t = chi.value_exponent(amb.lift(component, g))
+        t = chi.value_exponent(amb.lift(component.key, g))
         num = t * e_sub
         if num % e:
             raise RuntimeError("component value escaped the expected order")
@@ -249,7 +112,7 @@ def inflate_to_modulus(chi, target_ambient):
     divides = rest == 0 if chi.ambient.kind == "number" else rest.is_zero
     if not divides:
         raise SchemaError("target modulus is not a multiple")
-    e = chi.ambient.group.exponent if chi.ambient.group.rank else 1
+    e = chi.ambient.group.exponent
     values = [chi.value_exponent(g % chi.ambient.modulus)
               for g in target_ambient.generators]
     return character_from_values(target_ambient, values, e)
@@ -309,8 +172,8 @@ def kronecker_character(d):
     """The quadratic character attached to a fundamental discriminant."""
     if not is_fundamental_discriminant(d):
         raise SchemaError(f"{d} is not a fundamental discriminant")
-    amb = numeric_ambient(abs(d))
-    e = amb.group.exponent if amb.group.rank else 1
+    amb = abelian.unit_group(abs(d))
+    e = amb.group.exponent
     values = []
     for g in amb.generators:
         s = kronecker_symbol(d, g)
@@ -347,7 +210,7 @@ class CharacterGroup:
         return hash((self.ambient, self.dual))
 
     def __repr__(self):
-        return f"CharacterGroup(order {self.order} mod {self.ambient.modulus_label()})"
+        return f"CharacterGroup(order {self.order} mod {self.ambient.modulus})"
 
     @property
     def order(self):
@@ -403,7 +266,7 @@ class ComponentSplit(Mapping):
         amb, self._rows, self._parts = x.ambient, {}, {}
         self.group, d = amb.group, amb.group.invariant_factors
         for component in amb.components():
-            r = amb.units.component_matrix(component.key)
+            r = amb.component_matrix(component.key)
             self._rows[component.key] = [
                 [sum(b * r[i][j] for i, b in enumerate(row)) % dj
                  for j, dj in enumerate(d)] for row in x.dual.lattice]
@@ -472,7 +335,7 @@ def conductor_exponents(x):
     for component in amb.components():
         b = 0
         while any(amb.group.pairing(vec, v)
-                  for v in amb.units.one_units(component.key, b)
+                  for v in amb.one_units(component.key, b)
                   for vec in gens):
             b += 1
         out[component.key] = b
@@ -481,7 +344,7 @@ def conductor_exponents(x):
 
 def conductor_from_exponents(amb, exponents):
     """The modulus prod key^f for a map {key: f}."""
-    out = amb.units.one
+    out = amb.one
     for key, f in exponents.items():
         out = out * key ** f
     return out

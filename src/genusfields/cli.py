@@ -123,7 +123,7 @@ def _numeric_ambient_from_doc(doc, bound):
         raise SchemaError("modulus must be at least 3 (use modulus 3 with "
                           "no characters for the rational field)")
     _check_unit_count(n, bound)
-    amb = characters.numeric_ambient(n)
+    amb = abelian.unit_group(n)
     return amb, _character_group_from_doc(amb, doc)
 
 
@@ -134,7 +134,7 @@ def _ff_ambient_from_doc(doc, bound):
         raise SchemaError("modulus must have degree at least 1")
     factored = fqpoly.factor_modulus(n)
     _check_bound(factored.unit_order(), bound)
-    amb = characters.ff_ambient(factored)
+    amb = fqpoly.unit_group(factored)
     return amb, _character_group_from_doc(amb, doc)
 
 
@@ -269,8 +269,10 @@ def _local_function_payload(doc, bound, level_flag):
     if level_flag is not None and level_flag != n_max:
         raise SchemaError(
             f"--level {level_flag} does not match the document n_max {n_max}")
+    if n_max < 1:
+        raise SchemaError("n_max must be at least 1")
     if n_max <= 14:  # beyond, InfinityUnits refuses every q by size
-        _check_bound((fld.q - 1) * fld.q ** max(n_max - 1, 0), bound)
+        _check_bound((fld.q - 1) * fld.q ** (n_max - 1), bound)
     infinity = genus_function.InfinityUnits(fld, n_max)
     entries = doc.get("primes")
     if not isinstance(entries, list) or not entries:
@@ -288,7 +290,7 @@ def _local_function_payload(doc, bound, level_flag):
                                   "array or \"full\"")
             vecs = []
             for vec in gens:
-                if len(_int_array(vec, where)) != max(n_max, 1):
+                if len(_int_array(vec, where)) != n_max:
                     raise SchemaError(
                         f"{where}: each norm generator is "
                         f"[c, a_1, ..., a_{n_max - 1}]")
@@ -325,7 +327,7 @@ def _oracle_payload(doc, bound):
     genus = oracle.maximal_genus_search(x)
     return {
         "kind": kind,
-        "modulus": amb.modulus_label(),
+        "modulus": str(amb.modulus),
         "subgroup_count": len(lattice.subgroups),
         "field_degree": x.order,
         "extended_degree": extended.order,

@@ -18,7 +18,8 @@ element of F_q is a constant polynomial.
 
 Includes irreducibility testing, Cantor-Zassenhaus factorization of
 moduli, and the unit groups (F_q[T]/<N>)* with exact discrete logarithms,
-built by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`).
+built by CRT on the base they share with (Z/nZ)* (`abelian.CRTUnitGroup`),
+one per modulus (`unit_group`).
 """
 
 from __future__ import annotations
@@ -746,9 +747,12 @@ class UnitGroupModN(abelian.CRTUnitGroup):
     by CRT from the prime-power parts of N (`abelian.CRTUnitGroup`), each
     built from its structure."""
 
+    kind = "function"
+
     def __init__(self, factored_n):
         self.field = factored_n.field
         self.modulus = factored_n.modulus
+        self.factorization = factored_n.factors
         self.one = one(self.field)
         _check_enumeration_bound(self.modulus)
         self.crt_components = tuple(_prime_power_units(p_, a)
@@ -774,6 +778,35 @@ class UnitGroupModN(abelian.CRTUnitGroup):
         rows of `_PrimePowerUnits._to_raw` from digit s deg(P) (b - 1) on."""
         comp = next(c for c in self.crt_components if c.prime == key)
         return comp._to_raw[1 + self.field.s * key.degree * (b - 1):]
+
+    def infinity_logs(self):
+        """The image of the units at the infinite prime is the constants
+        F_q*: the dlog of their least generator (one column in
+        `abelian.pairing_kernel` instead of q - 1)."""
+        fld = self.field
+        primes = [l for l, _ in abelian.factorize(fld.q - 1)]
+        c = next(c for c in (poly(fld, (a,)) for a in range(1, fld.q))
+                 if all(c ** ((fld.q - 1) // l) != self.one for l in primes))
+        return (self.dlog(c),)
+
+    def component_ambient(self, component):
+        return unit_group(factored(
+            self.field, [(component.key, component.exponent)]))
+
+    def reduction_kernel(self, m):
+        """Units congruent to 1 modulo the monic divisor m."""
+        return [u for u in self.residues() if ((u - self.one) % m).is_zero]
+
+    def infinity_residues(self):
+        """Every unit at infinity, as a residue: the constants 1..q - 1."""
+        return [poly(self.field, (c,)) for c in range(1, self.field.q)]
+
+
+# one unit group per modulus: `factored` puts the factors in code order,
+# so the factorization is the same key however it was built.  Bound in the
+# module of its class, whose __module__ an lru_cache takes: a cache bound
+# elsewhere is missed by whatever clears each module's own caches.
+unit_group = lru_cache(maxsize=512)(UnitGroupModN)
 
 
 def crt_idempotents(factored_n):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 
-from . import abelian, characters, fqpoly, genus_number
+from . import abelian, fqpoly, genus_number
 from .errors import (
     AmbientMismatchError,
     BoundExceededError,
@@ -282,8 +282,8 @@ class InfinityUnits:
     coefficients (a_1, ..., a_{n_max-1}) of a 1-unit 1 + a_1 pi + ...
     truncated at pi^n_max.  Under pi -> T the quotient is the unit group
     of F_q[[pi]]/(pi^n_max) = F_q[T]/(T^n_max) (Hayes, Trans. AMS 189,
-    1974), so the pair is the unit c (1 + a_1 T + ...) of the ambient
-    mod T^n_max, and U^(n) is that unit group's 1-units at level n.
+    1974), so the pair is the unit c (1 + a_1 T + ...) of the unit group
+    mod T^n_max (`ambient`), and U^(n) is its 1-units at level n.
     """
 
     def __init__(self, fld, n_max):
@@ -300,7 +300,7 @@ class InfinityUnits:
         self.field = fld
         self.n_max = n_max
         self.key = fqpoly.variable(fld)  # T, the image of pi
-        self.ambient = characters.ff_ambient(
+        self.ambient = fqpoly.unit_group(
             fqpoly.factored(fld, [(self.key, n_max)]))
         self.group = self.ambient.group
 
@@ -351,7 +351,7 @@ def s_field_invariants(primes_above, infinity):
     script-S in its product with U^(n0); by the choice of n0 that product
     is script-S, so m0 = t0 and the model says nothing of m0 beyond t0.
     """
-    units, key = infinity.ambient.units, infinity.key
+    units, key = infinity.ambient, infinity.key
     _, norm = genus_number.lp_degree_from_local(units, key, primes_above)
     t0 = reduce(gcd, (rec.f for rec in primes_above))
     script_s = _minimal_p_power_index_supergroup(

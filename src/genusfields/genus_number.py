@@ -77,7 +77,7 @@ def compose_genus(x1, x2):
     divides 2, and the extended genus is exactly multiplicative.
     """
     n = lcm(x1.ambient.modulus, x2.ambient.modulus)
-    amb = characters.numeric_ambient(n)
+    amb = abelian.unit_group(n)
     y1 = inflate_group(x1, amb)
     y2 = inflate_group(x2, amb)
     g_comp = genus_characters(characters.join(y1, y2))
@@ -259,7 +259,7 @@ def build_report(x):
         info = ram.get(key, {"e": 1, "tame": 1, "wild": 1})
         rows.append((key, info["e"], info["tame"], info["wild"], f))
     return GenusReport(
-        modulus=amb.modulus_label(),
+        modulus=str(amb.modulus),
         field_degree=x.order,
         genus_degree_over_k=genus.order // x.order,
         extended_degree_over_k=extended.order // x.order,

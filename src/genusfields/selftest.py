@@ -66,7 +66,7 @@ def criterion_oracle_equivalence(bound):
     n_max = _cap(250, bound)
     checked = 0
     for n in range(2, n_max + 1):
-        amb = characters.numeric_ambient(n)
+        amb = abelian.unit_group(n)
         lattice = oracle.enumerate_subfields(amb)
         for s in lattice.subgroups:
             x = characters.CharacterGroup(
@@ -88,7 +88,7 @@ def criterion_gap_bound(bound):
     rng = random.Random(2)
     for _ in range(1000):
         n = rng.randrange(3, n_max + 1)
-        x = _random_character_group(rng, characters.numeric_ambient(n))
+        x = _random_character_group(rng, abelian.unit_group(n))
         if genus_number.genus_gap(x) not in (1, 2):
             raise _Failure(f"gap outside {{1,2}} at modulus {n}")
     for d, genus_deg, gap in ((-20, 4, 1), (12, 2, 2)):
@@ -114,21 +114,21 @@ def criterion_gap_bound(bound):
 def criterion_composition(bound):
     n_max = _cap(400, bound)
     x1 = genus_number.plus_part(
-        characters.full_dual(characters.numeric_ambient(15)))
+        characters.full_dual(abelian.unit_group(15)))
     x2 = genus_number.plus_part(
-        characters.full_dual(characters.numeric_ambient(77)))
+        characters.full_dual(abelian.unit_group(77)))
     if genus_number.genus_characters(x1) != x1 \
             or genus_number.genus_characters(x2) != x2:
         raise _Failure("real cyclotomic factors are not genus-closed")
     g_comp, _, gap = genus_number.compose_genus(x1, x2)
     target = genus_number.plus_part(
-        characters.full_dual(characters.numeric_ambient(1155)))
+        characters.full_dual(abelian.unit_group(1155)))
     if gap != 2 or g_comp != target:
         raise _Failure(f"fixture (3,5,7,11) gave gap {gap} instead of 2")
     rng = random.Random(3)
     for _ in range(1000):
         n = rng.randrange(3, n_max + 1)
-        amb = characters.numeric_ambient(n)
+        amb = abelian.unit_group(n)
         y1 = _random_character_group(rng, amb, max_gens=1)
         y2 = _random_character_group(rng, amb, max_gens=1)
         _, _, pair_gap = genus_number.compose_genus(y1, y2)
@@ -248,13 +248,12 @@ def criterion_l2_trichotomy(bound):
     checked = 0
     for k in range(2, k_max + 1):
         n = 1 << k
-        units = abelian.unit_group(n)
-        amb = characters.numeric_ambient(n)
-        for s in oracle.enumerate_subgroups(units.group):
-            index = units.group.order // len(s)
+        amb = abelian.unit_group(n)
+        for s in oracle.enumerate_subgroups(amb.group):
+            index = amb.group.order // len(s)
             if index & (index - 1):
                 continue
-            h = abelian.subgroup_from_generators(units.group, sorted(s))
+            h = abelian.subgroup_from_generators(amb.group, sorted(s))
             out = genus_number.classify_l2(h, n)
             label = _identify_fixed_field(amb, h, out.m)
             if label != out.field_label:
@@ -285,7 +284,7 @@ def _identify_fixed_field(amb, h, m):
     if genus_number.plus_part(x) == x:
         return f"Q(zeta_{1 << (m + 2)})^+"
     full_level = characters.full_dual(
-        characters.numeric_ambient(1 << (m + 1)))
+        abelian.unit_group(1 << (m + 1)))
     inflated = genus_number.inflate_group(full_level, amb)
     if x == inflated:
         return f"Q(zeta_{1 << (m + 1)})"
@@ -302,7 +301,7 @@ def criterion_tame_formulas(bound):
     checked = 0
     while checked < 50:
         n = rng.randrange(3, n_max + 1)
-        amb = characters.numeric_ambient(n)
+        amb = abelian.unit_group(n)
         x = _random_character_group(rng, amb)
         ram = characters.ramification_exponents(x)
         for p, info in ram.items():
@@ -317,7 +316,7 @@ def criterion_tame_formulas(bound):
     for q, coeffs in ((2, (0, 1, 1, 1)), (3, (0, 1, 1)), (2, (0, 0, 0, 1)),
                       (3, (0, 0, 1)), (2, (1, 1, 1))):
         fld = fqpoly.fq_field(q)
-        amb = characters.ff_ambient(
+        amb = fqpoly.unit_group(
             fqpoly.factor_modulus(fqpoly.poly(fld, coeffs)))
         for s in oracle.enumerate_subfields(amb).subgroups:
             x = characters.CharacterGroup(
@@ -431,7 +430,7 @@ def criterion_s_field(bound):
         raise _Failure("split infinite prime gave "
                        f"{(inv.t0, inv.n0, inv.m0, inv.alpha)}")
     u2 = abelian.subgroup_from_generators(
-        inf2.group, inf2.ambient.units.one_units(inf2.key, 2))
+        inf2.group, inf2.ambient.one_units(inf2.key, 2))
     inv = genus_function.s_field_invariants(
         [genus_number.PrimeAboveData(2, 1, u2)], inf2)
     if (inv.alpha, inv.n0, inv.m0) != (1, 2, 1):

@@ -17,7 +17,7 @@ def trivial_group(ambient):
 
 def is_even(chi):
     """Whether chi(-1) = 1; integer moduli only."""
-    minus = chi.ambient.units.minus_one_log
+    minus = chi.ambient.minus_one_log
     return not chi.ambient.group.pairing(chi.exponents, minus)
 
 

@@ -158,7 +158,7 @@ def test_component_restriction_preserves_values(n):
             e = amb.group.exponent
             e_sub = sub.group.exponent if sub.group.rank else 1
             for u in sub.residues():
-                lifted = amb.lift(component, u)
+                lifted = amb.lift(component.key, u)
                 assert (chi.value_exponent(lifted) * e_sub
                         == psi.value_exponent(u) * e)
 
@@ -198,7 +198,7 @@ def test_component_matrices_are_orthogonal_idempotents():
     for amb in _split_ambients():
         d = amb.group.invariant_factors
         k = len(d)
-        mats = [amb.units.component_matrix(c.key) for c in amb.components()]
+        mats = [amb.component_matrix(c.key) for c in amb.components()]
         total = [[sum(r[i][j] for r in mats) % d[j] for j in range(k)]
                  for i in range(k)]
         assert total == [[(i == j) % d[j] for j in range(k)]
@@ -213,7 +213,7 @@ def _component_matrix_by_dlogs(amb, component):
     """R_p as it was built from rank(G) dlogs: row j of M is
     dlog(lift(project(g_j))), and R_p[i][j] = M[j][i] d_j / d_i mod d_j."""
     d = list(enumerate(amb.group.invariant_factors))
-    m = [amb.dlog(amb.lift(component, amb.project(component, g)))
+    m = [amb.dlog(amb.lift(component.key, amb.project(component, g)))
          for g in amb.generators]
     assert all(m[j][i] * dj % di == 0 for i, di in d for j, dj in d)
     return tuple(tuple(m[j][i] * dj // di % dj for j, dj in d)
@@ -223,7 +223,7 @@ def _component_matrix_by_dlogs(amb, component):
 def test_component_matrix_matches_dlog_reference():
     for amb in _split_ambients():
         for component in amb.components():
-            assert amb.units.component_matrix(component.key) \
+            assert amb.component_matrix(component.key) \
                 == _component_matrix_by_dlogs(amb, component), amb
 
 
@@ -292,7 +292,7 @@ def test_component_split_dlogs_once_per_generator_and_prime(monkeypatch,
     ch.component_split(ch.character_group(amb, gens))
     assert calls == []
     for component in amb.components():
-        assert amb.units.component_matrix(component.key) \
+        assert amb.component_matrix(component.key) \
             == _component_matrix_by_dlogs(amb, component)
 
 
@@ -396,7 +396,7 @@ def test_ff_component_values_match():
             e = amb.group.exponent
             e_sub = sub.group.exponent if sub.group.rank else 1
             for u in sub.residues():
-                assert (chi.value_exponent(amb.lift(component, u)) * e_sub
+                assert (chi.value_exponent(amb.lift(component.key, u)) * e_sub
                         == psi.value_exponent(u) * e)
 
 
@@ -420,6 +420,20 @@ def test_one_ambient_per_modulus_however_it_was_built():
     assert again is amb
     info = ch._ff_ambient_cached.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_the_ambient_is_the_unit_group_of_its_modulus():
+    # one object per modulus: the report, the local paths and the
+    # infinite prime read the same unit group from the same cache
+    for n in (3, 40, 1155):
+        assert ch.numeric_ambient(n) is abelian.unit_group(n)
+    for q, n in ((2, 3), (3, 4)):
+        fld = fqpoly.fq_field(q)
+        inf = gf.InfinityUnits(fld, n)
+        assert inf.ambient is ch.ff_ambient(
+            fqpoly.factored(fld, [(fqpoly.variable(fld), n)]))
+        assert inf.ambient is fqpoly.unit_group(
+            fqpoly.factored(fld, [(fqpoly.variable(fld), n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +537,8 @@ def test_one_units_generate_the_congruence_subgroups(amb):
             level = math.gcd(power, q) if number else poly_gcd(power, q)
             expected = set(amb.reduction_kernel(level * (amb.modulus // q)))
             generated = abelian.subgroup_from_generators(
-                amb.group, amb.units.one_units(component.key, b))
-            assert {amb.units.exp(vec) for vec in generated.elements()} \
+                amb.group, amb.one_units(component.key, b))
+            assert {amb.exp(vec) for vec in generated.elements()} \
                 == expected
             power = power * component.key
 
@@ -557,7 +571,7 @@ def test_filtration_paths_take_no_dlog(monkeypatch, make):
         units27, 3, [gn.PrimeAboveData(2, 1, h27)])
     assert gn.lp_degree_is_stable(units27, 3, 2, norm27)
     assert [abelian.subgroup_from_generators(
-        inf.group, inf.ambient.units.one_units(inf.key, n)).order
+        inf.group, inf.ambient.one_units(inf.key, n)).order
         for n in range(5)] == [54, 27, 9, 3, 1]
     assert calls == []
     assert gn.classify_l2(h16, 16).tag == gn.FULL_CYCLOTOMIC
@@ -573,9 +587,9 @@ def test_report_builds_no_component_ambient(monkeypatch, make):
     amb = make()
     x = ch.full_dual(amb)
     built = []
-    for name in ("numeric_ambient", "ff_ambient"):
-        build = getattr(ch, name)
-        monkeypatch.setattr(ch, name, lambda *a, build=build:
+    for module in (abelian, fqpoly):
+        build = module.unit_group
+        monkeypatch.setattr(module, "unit_group", lambda *a, build=build:
                             built.append(a) or build(*a))
     report = gn.build_report(x)
     assert built == []

@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from genusfields import abelian, characters, cli, genus_number
+from genusfields import abelian, characters, cli, fqpoly, genus_number
 from genusfields.errors import SchemaError
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
@@ -393,6 +393,18 @@ def test_number_local_requires_a_positive_level(tmp_path):
     assert run_cli(["number", "--spec", str(doc)])[0] == 2
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_function_local_requires_a_positive_n_max(tmp_path, n_max):
+    # n_max is checked before the bound, so no bound turns exit 2 into 3
+    doc = tmp_path / "local.toml"
+    doc.write_text(f'kind = "function-local"\nq = 3\nn_max = {n_max}\n'
+                   "[[primes]]\ne = 2\nt = 1\n")
+    spec = ["function", "--spec", str(doc)]
+    assert run_cli(spec) == (2, "")
+    assert run_cli(spec + ["--bound", "1"]) == (2, "")
+    assert run_cli(spec, env_bound=1) == (2, "")
+
+
 def test_field_size_beyond_small_primes(tmp_path):
     # q = 17^2; a character of order 2 keeps the report small
     doc = tmp_path / "f289.toml"
@@ -426,7 +438,9 @@ def test_bound_is_checked_before_building(monkeypatch, command, script,
     def refuse(*args):
         raise AssertionError("ambient built before the bound check")
 
-    monkeypatch.setattr(characters, constructor, refuse)
+    # the ambient is the unit group, from the cache of its module
+    home = {"numeric_ambient": abelian, "ff_ambient": fqpoly}[constructor]
+    monkeypatch.setattr(home, "unit_group", refuse)
     code, out = run_cli([command, "--spec", os.path.join(SCRIPTS, script),
                          "--bound", "1"])
     assert code == 3 and out == ""

@@ -260,9 +260,9 @@ def test_ep_degree_from_local():
     t3 = fqpoly.variable(F3)
     amb = ch.ff_ambient(fqpoly.factored(F3, [(t3, 1)]))
     full = abelian.full_subgroup(amb.group)
-    assert _local_degree(amb.units, t3, full) == 1
+    assert _local_degree(amb, t3, full) == 1
     triv = abelian.trivial_subgroup(amb.group)
-    assert _local_degree(amb.units, t3, triv) == 2
+    assert _local_degree(amb, t3, triv) == 2
     # cyclic order-12 level-1 quotient: subgroups of indices 4 and 6, and
     # the gcd cross-check runs
     F13 = fqpoly.fq_field(13)
@@ -272,7 +272,7 @@ def test_ep_degree_from_local():
     h4 = abelian.subgroup_from_generators(amb13.group, [(4,)])
     h6 = abelian.subgroup_from_generators(amb13.group, [(6,)])
     assert h4.index == 4 and h6.index == 6
-    assert _local_degree(amb13.units, t13, h4, h6) == 2
+    assert _local_degree(amb13, t13, h4, h6) == 2
     assert gf.tame_ramification_ff(1, math.gcd(4, 6), 13) \
         == math.gcd(4, 6, 12)
 
@@ -283,7 +283,7 @@ def test_ep_degree_rejects_wrong_level():
     amb2 = ch.ff_ambient(fqpoly.factored(F3, [(t3, 2)]))
     h = abelian.full_subgroup(amb2.group)
     with pytest.raises(SchemaError):
-        _local_degree(amb1.units, t3, h)
+        _local_degree(amb1, t3, h)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def _series_mul(fld, n_max, x, y):
 def _one_units(inf, n):
     """U^(n) at infinity, generated by its dlog vectors."""
     return abelian.subgroup_from_generators(
-        inf.group, inf.ambient.units.one_units(inf.key, n))
+        inf.group, inf.ambient.one_units(inf.key, n))
 
 
 def test_infinity_units_round_trip_and_homomorphism():

@@ -316,7 +316,7 @@ def _local_path_agrees_with_reports(amb):
             amb, abelian.subgroup_from_generators(amb.group, sorted(s)))
         rows = {key: (e, f) for key, e, _, _, f in gn.build_report(x).primes}
         for key, xp in ch.component_decompose(x).items():
-            units = xp.ambient.units
+            units = xp.ambient
             n_p = abelian.pairing_kernel(
                 abelian.full_subgroup(units.group),
                 [chi.exponents for chi in xp.generators()])

@@ -15,9 +15,9 @@ ENTRY_POINTS = ("cli.main", "selftest.run_all")
 ALLOWED = {
     "abelian.hnf_with_transform",
     "abelian.smith_normal_form",
-    "characters._UnitAmbient.project",
-    "characters.NumericAmbient.component_ambient",
-    "characters.FunctionFieldAmbient.component_ambient",
+    "abelian.CRTUnitGroup.project",
+    "abelian.UnitGroup.component_ambient",
+    "fqpoly.UnitGroupModN.component_ambient",
     "characters.restrict_to_component",
     "characters.inflate_from_component",
     "characters.component_decompose",
