@@ -396,6 +396,12 @@ class Subgroup:
     def index(self):
         return self.ambient.order // self.order
 
+    def generator_rows(self):
+        """The lattice rows nonzero in the group, which generate it; the
+        others are relations d_j e_j."""
+        d = self.ambient.invariant_factors
+        return [r for r in self.lattice if any(c % m for c, m in zip(r, d))]
+
     def contains(self, vec):
         """Membership test by triangular reduction against the HNF rows."""
         v = list(self.ambient.reduce(vec))
@@ -560,7 +566,8 @@ def greedy_basis(group, elements, vector, power, mul):
                 break
         else:
             raise ValueError(f"no element of order {top} modulo the span")
-        coords = _span_coordinates(group, vecs, orders, group.scale(vec, top))
+        coords, = _span_coordinates(group, vecs, orders,
+                                    group.scale(vec, top))
         if any(c % top for c in coords):
             raise ValueError("generator extraction lost independence")
         for w, g, c, o in zip(vecs, picks, coords, orders):
@@ -569,23 +576,27 @@ def greedy_basis(group, elements, vector, power, mul):
         picks.append(element)
         orders.append(top)
         vecs.append(vec)
-    return picks, orders, [_span_coordinates(group, vecs, orders, e)
-                           for e in _diagonal([1] * group.rank)]
+    return picks, orders, _span_coordinates(group, vecs, orders,
+                                            *_diagonal([1] * group.rank))
 
 
-def _span_coordinates(group, vecs, orders, y):
-    """Coordinates of y on the independent `vecs`: clearing y's left half
-    with the HNF of the rows [v_i | e_i] modulo (d, orders) (v_i has
-    order orders_i), pivot i in row i < k, leaves minus them on the right."""
+def _span_coordinates(group, vecs, orders, *ys):
+    """Coordinates of each y on the independent `vecs`, one list per y:
+    clearing y's left half with the HNF of the rows [v_i | e_i] modulo
+    (d, orders) (v_i has order orders_i), pivot i in row i < k, leaves
+    minus them on the right.  The HNF is formed once for all the ys."""
     k, t = group.rank, len(vecs)
     h = hnf([list(v) + e for v, e in zip(vecs, _diagonal([1] * t))], k + t,
             group.invariant_factors + tuple(orders))
-    x = list(y) + [0] * t
-    for i in range(k):
-        x = [a - x[i] // h[i][i] * b for a, b in zip(x, h[i])]
-    if any(x[:k]):
-        raise ValueError("vector outside the span")
-    return [-c % o for c, o in zip(x[k:], orders)]
+    out = []
+    for y in ys:
+        x = list(y) + [0] * t
+        for i in range(k):
+            x = [a - x[i] // h[i][i] * b for a, b in zip(x, h[i])]
+        if any(x[:k]):
+            raise ValueError("vector outside the span")
+        out.append([-c % o for c, o in zip(x[k:], orders)])
+    return out
 
 
 class CyclicLog:
@@ -749,6 +760,30 @@ class CRTUnitGroup:
         local = self._level_raw(key, b) if b else _diagonal([1] * len(at))
         return [self.to_canonical([0] * at[0] + list(r) + [0] * (
             len(self._raw_keys) - 1 - at[-1])) for r in local]
+
+    def conductor_exponent(self, key, vecs):
+        """The exponent of the prime `key` in the conductor of the
+        characters `vecs`: the least level b whose units U^(b) they all
+        kill.  Each character is paired once with each raw generator C_t
+        of the prime; a raw vector r of a level (`_level_raw`) then pairs
+        to <v, to_canonical(r)> = sum_t r_t <v, C_t> mod e, with no
+        canonical vector per level."""
+        e, d = self.group.exponent, self.group.invariant_factors
+        at = [t for t, k in enumerate(self._raw_keys) if k == key]
+        values = []
+        for v in vecs:
+            w = [x * (e // di) for x, di in zip(v, d)]
+            row = [sum(x * col[t] for x, (col, _) in zip(w, self._columns))
+                   % e for t in at]
+            if any(row):
+                values.append(row)
+        b = 0
+        while values:   # U^(0) is every unit of the prime
+            b += 1
+            if not any(sum(map(operator.mul, r, row)) % e
+                       for r in self._level_raw(key, b) for row in values):
+                break
+        return b
 
     def component_matrix(self, key):
         """R_p for the prime `key`: a character b restricted to its

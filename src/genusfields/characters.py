@@ -8,9 +8,9 @@ equality is exact.
 
 The ambient of a character is the unit group of its modulus, an integer
 or a polynomial (`abelian.CRTUnitGroup`), with dlog/exp and the CRT
-components, one per prime.  It gives the 1-units U^(b) of each prime as
-dlog vectors read off its presentation, from which conductors are read
-one prime at a time.
+components, one per prime.  Conductors are read one prime at a time off
+its presentation: each character is paired once per raw generator of the
+prime, and the 1-units U^(b) of each level are raw vectors.
 """
 
 from __future__ import annotations
@@ -217,10 +217,8 @@ class CharacterGroup:
         return self.dual.order
 
     def generators(self):
-        return [Character(self.ambient, self.ambient.group.reduce(row))
-                for row in self.dual.lattice
-                if any(c % d for c, d in
-                       zip(row, self.ambient.group.invariant_factors))]
+        return [Character(self.ambient, row)
+                for row in self.dual.generator_rows()]
 
 
 def character_group(ambient, chars):
@@ -255,21 +253,24 @@ def component_decompose(x):
 
 class ComponentSplit(Mapping):
     """The p-components X_p of one X inside the full dual, by prime key of
-    the modulus: X_p is generated by X's lattice rows times R_p
+    the modulus: X_p is generated by X's generator rows (the lattice rows
+    nonzero in the group, `abelian.Subgroup.generator_rows`) times R_p
     (`abelian.CRTUnitGroup.component_matrix`), the same group as inflating
     {chi_p : chi in X}.
-    The rows X R_p are formed once.  Each X_p is one HNF of its rows, taken
-    when first read; `product`, the product of the X_p, is one HNF of all
-    the rows stacked, with no HNF per component (X_p itself for one p)."""
+    The rows X R_p are formed once, one per generator row and prime.  Each
+    X_p is one HNF of its rows, taken when first read; `product`, the
+    product of the X_p, is one HNF of all the rows stacked, with no HNF
+    per component (X_p itself for one p)."""
 
     def __init__(self, x):
         amb, self._rows, self._parts = x.ambient, {}, {}
         self.group, d = amb.group, amb.group.invariant_factors
+        gens = x.dual.generator_rows()
         for component in amb.components():
             r = amb.component_matrix(component.key)
             self._rows[component.key] = [
                 [sum(b * r[i][j] for i, b in enumerate(row)) % dj
-                 for j, dj in enumerate(d)] for row in x.dual.lattice]
+                 for j, dj in enumerate(d)] for row in gens]
 
     def __getitem__(self, key):
         if key not in self._parts:
@@ -327,19 +328,15 @@ def ramification_exponents(x):
 def conductor_exponents(x):
     """Per prime key of the modulus, its exponent f in the conductor of the
     field cut out by X: the least level b whose 1-units U^(b) every
-    generator of X kills (so every member of X does), as dlog vectors
-    read off the presentation (`abelian.CRTUnitGroup.one_units`)."""
+    generator of X kills (so every member of X does).  Each generator is
+    paired once per raw generator of the prime, and each level is read
+    off those pairings (`abelian.CRTUnitGroup.conductor_exponent`).  X and
+    its extended genus group have the same p-components X_p, so the same
+    exponents."""
     amb = x.ambient
-    gens = [chi.exponents for chi in x.generators()]
-    out = {}
-    for component in amb.components():
-        b = 0
-        while any(amb.group.pairing(vec, v)
-                  for v in amb.one_units(component.key, b)
-                  for vec in gens):
-            b += 1
-        out[component.key] = b
-    return out
+    gens = x.dual.generator_rows()
+    return {component.key: amb.conductor_exponent(component.key, gens)
+            for component in amb.components()}
 
 
 def conductor_from_exponents(amb, exponents):

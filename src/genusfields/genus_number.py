@@ -2,7 +2,9 @@
 
 An abelian field K is its character group X.  The extended genus field is
 cut out by the product of the p-components of X (P-components over
-F_q(T)): one HNF of X's lattice rows times every R_p, formed once per X.
+F_q(T)): one HNF of X's generator rows times every R_p, formed once per X.
+X has the same components, so a report reads each prime's ramification
+and conductor exponent off X's generators, not off the product.
 The genus field adds to X the part of that product trivial on the units
 at the infinite prime: -1 over Q, the constants F_q* over F_q(T), whose
 fixed field is Hayes' real subfield.  One pipeline serves both ambient
@@ -26,8 +28,10 @@ from .errors import PrecisionError, SchemaError
 
 def extended_genus_characters(x):
     """Character group of the extended genus field: the product of the
-    p-components X_p of X inside the full dual, one HNF of X's lattice
-    rows times every R_p, formed once per X (`characters.ComponentSplit`)."""
+    p-components X_p of X inside the full dual, one HNF of X's generator
+    rows (its lattice rows nonzero in the group) times every R_p, formed
+    once per X (`characters.ComponentSplit`).  Its p-component is X_p, so
+    its conductor exponents are X's."""
     return characters.CharacterGroup(x.ambient,
                                      characters.component_split(x).product)
 
@@ -243,7 +247,8 @@ class GenusReport:
 
 def build_report(x):
     """Assemble the genus report for an abelian field given by X, over Q
-    or F_q(T); `primes` has one row per prime of the modulus."""
+    or F_q(T); `primes` has one row per prime of the modulus.  K and K_ge
+    have the same conductor, so its exponents are read off X."""
     amb = x.ambient
     extended = extended_genus_characters(x)
     genus = _genus(x, extended)
@@ -253,7 +258,7 @@ def build_report(x):
     # the extended group is the direct product of the components X_p
     if prod(info["e"] for info in ram.values()) != extended.order:
         raise RuntimeError("component degrees must multiply to the total")
-    exponents = characters.conductor_exponents(extended)
+    exponents = characters.conductor_exponents(x)
     rows = []
     for key, f in exponents.items():
         info = ram.get(key, {"e": 1, "tame": 1, "wild": 1})

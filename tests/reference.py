@@ -21,6 +21,23 @@ def is_even(chi):
     return not chi.ambient.group.pairing(chi.exponents, minus)
 
 
+def conductor_exponents(x):
+    """`characters.conductor_exponents` by canonical vectors: per prime,
+    the least level b whose 1-units `one_units(key, b)` every generator of
+    X kills, each unit's dlog vector paired with each generator."""
+    amb = x.ambient
+    gens = [chi.exponents for chi in x.generators()]
+    out = {}
+    for component in amb.components():
+        b = 0
+        while any(amb.group.pairing(vec, v)
+                  for v in amb.one_units(component.key, b)
+                  for vec in gens):
+            b += 1
+        out[component.key] = b
+    return out
+
+
 def kernel_elements(x):
     """The unit residues on which every character of `x` is trivial."""
     gens = x.generators()
@@ -107,7 +124,8 @@ def carlitz_value(op, x):
 def scan_basis(group, elements, vector, power, mul):
     """`abelian.greedy_basis` by the plain scan: every round reads
     `elements()` from the first again and takes the vector of each element
-    it reads, whatever its order."""
+    it reads, whatever its order, and the change of coordinates clears one
+    unit vector per HNF."""
     picks, orders, vecs = [], [], []
     while prod(orders, start=1) < group.order:
         span = abelian.subgroup_from_generators(group, vecs)
@@ -116,8 +134,8 @@ def scan_basis(group, elements, vector, power, mul):
             (x, vector(x)) for x in elements()) if not any(
             span.contains(group.scale(v, top // l))
             for l, _ in abelian.factorize(top)))
-        coords = abelian._span_coordinates(group, vecs, orders,
-                                           group.scale(vec, top))
+        coords, = abelian._span_coordinates(group, vecs, orders,
+                                            group.scale(vec, top))
         assert not any(c % top for c in coords)
         for w, g, c, o in zip(vecs, picks, coords, orders):
             vec = group.add(vec, group.scale(w, -(c // top) % o))
@@ -125,8 +143,9 @@ def scan_basis(group, elements, vector, power, mul):
         picks.append(element)
         orders.append(top)
         vecs.append(vec)
-    return picks, orders, [abelian._span_coordinates(group, vecs, orders, e)
-                           for e in abelian._diagonal([1] * group.rank)]
+    return picks, orders, [
+        abelian._span_coordinates(group, vecs, orders, e)[0]
+        for e in abelian._diagonal([1] * group.rank)]
 
 
 class ScanUnits(fqpoly._PrimePowerUnits):

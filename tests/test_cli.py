@@ -636,8 +636,9 @@ def _hnfs_under(monkeypatch, attr):
 def test_report_forms_the_extended_group_in_one_product(
         monkeypatch, kind, name, stacked):
     # X_2 X_3 X_5 of multi_prime is one HNF of the rows X R_p of all three
-    # primes stacked, and no X_p takes an HNF of its own under it; the one
-    # component of cyclo_p is the extended group, one HNF of its rows
+    # primes stacked, one per generator row of X and prime, and no X_p
+    # takes an HNF of its own under it; the one component of cyclo_p is
+    # the extended group, one HNF of its rows
     per_call = _hnfs_under(monkeypatch, "extended_genus_characters")
     for flag in ([], ["--json"]):
         characters.component_split.cache_clear()
@@ -646,7 +647,7 @@ def test_report_forms_the_extended_group_in_one_product(
     assert len(per_call) == 2
     for x, rows in per_call:
         primes = len(x.ambient.components())
-        assert rows == [x.ambient.group.rank * primes]
+        assert rows == [len(x.dual.generator_rows()) * primes]
         assert (primes > 1) == stacked
 
 

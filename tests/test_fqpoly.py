@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genusfields import fqpoly as fq
+from genusfields import abelian, fqpoly as fq
 from genusfields.errors import BoundExceededError, SchemaError
 from reference import (ScanUnits, code, poly_from_code, poly_gcd,
                        poly_value, school_field_add, school_field_mul,
@@ -798,3 +798,16 @@ def test_cold_build_kernel_calls(monkeypatch, p, s, a, muls, mods):
         monkeypatch.setattr(fq.FqField, name, counted)
     fq._PrimePowerUnits(t, a)
     assert counts["mul"] <= muls and counts["mod"] <= mods
+
+
+@pytest.mark.parametrize("p, s, a, hnfs", [(2, 2, 3, 5), (2, 1, 7, 7)])
+def test_cold_build_hnf_calls(monkeypatch, p, s, a, hnfs):
+    # per pick, the span and the pick's coordinates take one HNF each, and
+    # the change of coordinates one for all the unit vectors; with one per
+    # unit vector the build took 6 for F_4[T]/T^3 (two picks) and 9 for
+    # F_2[T]/T^7 (three picks)
+    calls, hnf = [], abelian.hnf
+    monkeypatch.setattr(abelian, "hnf", lambda *args: (
+        calls.append(args), hnf(*args))[1])
+    units = fq._PrimePowerUnits(fq.variable(fq.FqField(p, s)), a)
+    assert len(calls) == 2 * len(units.raw_orders) + 1 == hnfs

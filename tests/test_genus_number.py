@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from genusfields import abelian, characters as ch, fqpoly
 from genusfields import genus_function as gf, genus_number as gn, oracle
 from genusfields.errors import SchemaError
+import reference
 from reference import trivial_group
 
 
@@ -160,11 +161,17 @@ def _every_subgroup():
 
 
 def test_stacked_extended_group_is_the_product_of_the_split():
+    # X and X_ge have the same components X_p, so a report reads the
+    # conductor exponents off X; each agrees with the canonical-vector scan
     count = 0
     for x in _every_subgroup():
         extended = gn.extended_genus_characters(x)
         assert extended.dual \
             == abelian.product(*ch.component_split(x).values())
+        assert ch.conductor_exponents(x) \
+            == ch.conductor_exponents(extended) \
+            == reference.conductor_exponents(x) \
+            == reference.conductor_exponents(extended)
         genus = ch.join(x, gn.plus_part(extended))
         assert gn.genus_characters(x) == genus
         assert gn.genus_gap(x) == extended.order // genus.order
@@ -172,24 +179,42 @@ def test_stacked_extended_group_is_the_product_of_the_split():
     assert count == 1224 + 648
 
 
-def test_extended_group_is_formed_once_per_x(monkeypatch):
-    # (Z/120)* = C2 x C2 x C2 x C4 has three primes: the extended group is
-    # one HNF of the 3 x 4 rows X R_p, and the genus group and the gap
-    # reuse it, each taking only the plus part's pairing kernel and the
-    # join with X
-    amb = ch.numeric_ambient(120)
-    amb.infinity    # the span of -1 is formed once per ambient
-    x = ch.character_group(amb, [ch.Character(amb, (1, 1, 0, 1)),
-                                 ch.Character(amb, (0, 1, 1, 3))])
+def _extended_rows(monkeypatch, x):
+    """Row count of each HNF that forming X's extended group takes, on a
+    cold split, and the HNFs taken after it from now on."""
     ch.component_split.cache_clear()
     rows, hnf = [], abelian.hnf
     monkeypatch.setattr(abelian, "hnf", lambda r, *a: (
         rows.append(len(r)), hnf(r, *a))[1])
-    extended = gn.extended_genus_characters(x)
-    assert rows == [12]
+    return gn.extended_genus_characters(x), rows
+
+
+def test_extended_group_is_formed_once_per_x(monkeypatch):
+    # (Z/120)* = C2 x C2 x C2 x C4 has three primes, and X three generator
+    # rows: the extended group is one HNF of the 3 x 3 rows X R_p (the
+    # relation row of X's lattice is left out), and the genus group and
+    # the gap reuse it, each taking only the plus part's pairing kernel and
+    # the join with X
+    amb = ch.numeric_ambient(120)
+    amb.infinity    # the span of -1 is formed once per ambient
+    x = ch.character_group(amb, [ch.Character(amb, (1, 1, 0, 1)),
+                                 ch.Character(amb, (0, 1, 1, 3))])
+    extended, rows = _extended_rows(monkeypatch, x)
+    stacked = len(x.dual.generator_rows()) * len(amb.components())
+    assert rows == [stacked] == [9]
     genus = gn.genus_characters(x)
     assert gn.genus_gap(x) == extended.order // genus.order
-    assert len(rows) == 1 + 2 + 2 and rows.count(12) == 1
+    assert len(rows) == 1 + 2 + 2 and rows.count(stacked) == 1
+
+
+def test_tail_discriminant_stacks_one_row_per_prime(monkeypatch):
+    # d = -52360 = -8 * 5 * 7 * 11 * 17: (Z/52360)* = C2^4 x C4 x C240 has
+    # rank 6 and five primes, and X = <chi_d> one generator row, so the
+    # extended group is one HNF of 5 rows, not of all 6 x 5 lattice rows
+    x = quadratic_group(-52360)
+    assert x.ambient.group.invariant_factors == (2, 2, 2, 2, 4, 240)
+    _, rows = _extended_rows(monkeypatch, x)
+    assert rows == [len(x.dual.generator_rows()) * 5] == [5]
 
 
 # ---------------------------------------------------------------------------
